@@ -1,10 +1,8 @@
 """Classical low-rank baselines: truncated SVD and non-negative matrix
 factorization.
 
-Both are self-contained dense implementations sized for desk-scale
-matrices (hundreds of rows): the SVD orthogonalizes column pairs with
-one-sided Jacobi rotations, and the NNMF runs seeded multiplicative
-updates for the Frobenius objective.
+The SVD is LAPACK's, through numpy.linalg.svd; the NNMF runs seeded
+multiplicative updates for the Frobenius objective on dense matrices.
 """
 
 from __future__ import annotations
@@ -15,8 +13,6 @@ import numpy as np
 
 from .errors import DomainError
 
-SVD_MAX_SWEEPS = 60
-SVD_PAIR_TOL = 1e-15
 NNMF_EPS = 1e-12
 
 
@@ -25,8 +21,7 @@ class SvdResult:
     """Economy factorization M = U diag(s) V^T with orthonormal columns.
 
     U is n x r and V is d x r with r = min(n, d); singular values are
-    sorted non-increasing. Columns of U belonging to zero singular values
-    are completed to an orthonormal set.
+    sorted non-increasing. This holds for rank-deficient and zero M too.
     """
 
     singular_values: np.ndarray
@@ -43,93 +38,15 @@ class NnmfResult:
     residual_trace: tuple[float, ...]
 
 
-def _orthonormal_complete(u: np.ndarray, missing: list[int]) -> None:
-    """Fill the listed columns of u with unit vectors orthogonal to the rest.
-
-    Modified Gram-Schmidt against all currently valid columns, run twice
-    for stability; candidates are standard basis vectors.
-    """
-    n = u.shape[0]
-    filled = [k for k in range(u.shape[1]) if k not in missing]
-    for k in missing:
-        for cand in range(n):
-            v = np.zeros(n)
-            v[cand] = 1.0
-            for _ in range(2):
-                for idx in filled:
-                    v -= (u[:, idx] @ v) * u[:, idx]
-            norm = float(np.linalg.norm(v))
-            if norm > 1e-8:
-                u[:, k] = v / norm
-                filled.append(k)
-                break
-        else:  # pragma: no cover - n candidates always contain a free direction
-            raise RuntimeError("failed to complete the orthonormal basis")
-
-
 def svd(M) -> SvdResult:
-    """Full economy SVD by one-sided Jacobi orthogonalization.
-
-    Column pairs are rotated until all are mutually orthogonal; column
-    norms are then the singular values. Wide matrices are handled by
-    factorizing the transpose and swapping the vector sets.
-    """
+    """Full economy SVD through LAPACK (numpy.linalg.svd)."""
     m_mat = np.asarray(M, dtype=float)
     if m_mat.ndim != 2:
         raise DomainError("svd expects a 2-d matrix")
     if not np.isfinite(m_mat).all():
         raise DomainError("svd expects finite entries")
-    n, d = m_mat.shape
-    if n < d:
-        flipped = svd(m_mat.T)
-        return SvdResult(
-            singular_values=flipped.singular_values,
-            left_vectors=flipped.right_vectors,
-            right_vectors=flipped.left_vectors,
-        )
-
-    b = m_mat.astype(float).copy()
-    v = np.eye(d)
-    for _ in range(SVD_MAX_SWEEPS):
-        rotated = False
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                app = float(b[:, p] @ b[:, p])
-                aqq = float(b[:, q] @ b[:, q])
-                apq = float(b[:, p] @ b[:, q])
-                if apq * apq <= SVD_PAIR_TOL * SVD_PAIR_TOL * app * aqq or apq == 0.0:
-                    continue
-                rotated = True
-                tau = (aqq - app) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = c * t
-                bp = b[:, p].copy()
-                b[:, p] = c * bp - s * b[:, q]
-                b[:, q] = s * bp + c * b[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-        if not rotated:
-            break
-
-    norms = np.sqrt(np.sum(b * b, axis=0))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    b = b[:, order]
-    v = v[:, order]
-    u = np.zeros((n, d))
-    zero_tol = (norms[0] if d else 0.0) * 1e-13
-    missing = []
-    for k in range(d):
-        if norms[k] > zero_tol and norms[k] > 0.0:
-            u[:, k] = b[:, k] / norms[k]
-        else:
-            norms[k] = 0.0
-            missing.append(k)
-    if missing:
-        _orthonormal_complete(u, missing)
-    return SvdResult(singular_values=norms, left_vectors=u, right_vectors=v)
+    u, s, vt = np.linalg.svd(m_mat, full_matrices=False)
+    return SvdResult(singular_values=s, left_vectors=u, right_vectors=vt.T)
 
 
 def svd_truncate(M, m: int) -> tuple[np.ndarray, float]:

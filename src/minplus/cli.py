@@ -61,6 +61,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _unit_fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a value in (0, 1], got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {value}")
+    return value
+
+
 def _infer_format(path: str, explicit: str | None) -> str:
     if explicit:
         return explicit
@@ -111,6 +125,22 @@ def _write(path: Path, text: str) -> str:
     return str(path)
 
 
+def _json_text(record, sort_keys: bool = False) -> str:
+    """Strict JSON: a NaN or infinite value raises ValueError, which exits 4."""
+    return json.dumps(record, indent=2, sort_keys=sort_keys, allow_nan=False) + "\n"
+
+
+def _sym_config(args, rank: int) -> SymFactorConfig:
+    return SymFactorConfig(
+        rank=rank,
+        jacobi_steps=args.t,
+        shoot=args.mu,
+        max_iter=args.max_iter,
+        restarts=args.restarts,
+        seed=args.seed,
+    )
+
+
 def _read_vector_csv(path: str, what: str) -> np.ndarray:
     matrix = read_matrix_csv(Path(path).read_text())
     data = matrix.data
@@ -150,7 +180,7 @@ def _cmd_regress(args, out_dir: Path):
         "converged": outcome.converged,
         "residual_trace": [float(v) for v in outcome.residual_trace],
     }
-    out_path = _write(out_dir / args.out, json.dumps(record, indent=2) + "\n")
+    out_path = _write(out_dir / args.out, _json_text(record))
     return [out_path], {"residual_norm": record["residual_norm"]}
 
 
@@ -177,15 +207,7 @@ def _cmd_factor(args, out_dir: Path):
         raise UsageError(f"--rank {args.rank} exceeds the input size {min(matrix.shape)}")
     waypoints = None
     if args.mode == "sym":
-        cfg = SymFactorConfig(
-            rank=args.rank,
-            jacobi_steps=args.t,
-            shoot=args.mu,
-            max_iter=args.max_iter,
-            restarts=args.restarts,
-            seed=args.seed,
-        )
-        pair = sym_factorize(matrix, cfg)
+        pair = sym_factorize(matrix, _sym_config(args, args.rank))
     elif args.mode == "general":
         cfg = NonsymFactorConfig(
             max_iter=args.max_iter,
@@ -199,7 +221,7 @@ def _cmd_factor(args, out_dir: Path):
     record = _factor_record(args.mode, args.rank, pair, labels, waypoints)
     stem = Path(args.out).stem
     outputs = [
-        _write(out_dir / args.out, json.dumps(record, indent=2) + "\n"),
+        _write(out_dir / args.out, _json_text(record)),
         _write(out_dir / f"{stem}_left.csv", write_matrix_csv(pair.left)),
         _write(out_dir / f"{stem}_right.csv", write_matrix_csv(pair.right)),
     ]
@@ -213,11 +235,11 @@ def _cmd_factor(args, out_dir: Path):
 
 def _baseline_matrix(args) -> np.ndarray:
     """svd runs on the (capped) distance matrix, nnmf on raw adjacency."""
+    if args.method == "svd":
+        return _distance_input(args)[0].data
     graph, matrix = _load_input(args)
     if graph is not None:
-        if args.method == "nnmf":
-            return graph_to_adjacency(graph)
-        return _apply_cap(shortest_path_matrix(graph), args.cap).data
+        return graph_to_adjacency(graph)
     return _apply_cap(matrix, args.cap).data
 
 
@@ -263,11 +285,7 @@ def _pad_rank_init(prev_left: np.ndarray) -> np.ndarray:
 
 def _cmd_residual_curve(args, out_dir: Path):
     if args.method == "nnmf":
-        graph, matrix = _load_input(args)
-        data = graph_to_adjacency(graph) if graph is not None else _apply_cap(matrix, args.cap).data
-        if (data < 0).any():
-            raise DomainError("nnmf needs non-negative input")
-        matrix_for_rank = data
+        data = _baseline_matrix(args)
     else:
         matrix_for_rank, _ = _distance_input(args)
         data = matrix_for_rank.data
@@ -300,15 +318,7 @@ def _cmd_residual_curve(args, out_dir: Path):
         prev_left = None
         for m in range(1, max_rank + 1):
             extra = (_pad_rank_init(prev_left),) if prev_left is not None else ()
-            cfg = SymFactorConfig(
-                rank=m,
-                jacobi_steps=args.t,
-                shoot=args.mu,
-                max_iter=args.max_iter,
-                restarts=args.restarts,
-                seed=args.seed,
-            )
-            pair = sym_factorize(matrix_for_rank, cfg, extra_inits=extra)
+            pair = sym_factorize(matrix_for_rank, _sym_config(args, m), extra_inits=extra)
             prev_left = pair.left.data
             rows.append((m, relative(pair.residual)))
     body = "rank,relative_residual\n" + "".join(f"{m},{v:.17g}\n" for m, v in rows)
@@ -361,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cap = argparse.ArgumentParser(add_help=False)
     cap.add_argument(
         "--cap",
-        type=float,
+        type=_finite_float,
         default=None,
         help="replace infinite entries with this value before optimizing",
     )
@@ -376,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm", choices=["inf", "2"], default="inf")
     p.add_argument("--x0", default="auto", help="'auto' or a start vector CSV (2-norm only)")
     p.add_argument("--max-iter", type=_positive_int, default=500)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
     p.add_argument("--out", default="regress.json")
     p.set_defaults(func=_cmd_regress)
 
@@ -386,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=_positive_int, required=True)
     p.add_argument("--mode", choices=["sym", "general", "actual"], default="sym")
     p.add_argument("--t", type=_positive_int, default=5, help="Jacobi sweeps per step (sym)")
-    p.add_argument("--mu", type=float, default=0.5, help="undershooting weight (sym)")
+    p.add_argument("--mu", type=_unit_fraction, default=0.5, help="undershooting weight (sym)")
     p.add_argument("--restarts", type=_positive_int, default=100)
     p.add_argument("--max-iter", type=_positive_int, default=100)
     p.add_argument("--budget", type=_positive_int, default=10000, help="subset budget (actual)")
@@ -414,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--t", type=_positive_int, default=5)
-    p.add_argument("--mu", type=float, default=0.5)
+    p.add_argument("--mu", type=_unit_fraction, default=0.5)
     p.add_argument("--restarts", type=_positive_int, default=10)
     p.add_argument("--max-iter", type=_positive_int, default=100)
     p.add_argument("--iters", type=_positive_int, default=500, help="nnmf iterations per rank")
@@ -443,6 +453,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs, extras = args.func(args, out_dir)
+        wall = time.perf_counter() - started
+        parameters = {
+            k: v for k, v in vars(args).items() if k not in ("func", "command") and not callable(v)
+        }
+        report = {
+            "command": argv,
+            "seed": getattr(args, "seed", None),
+            "parameters": parameters,
+            "residuals": extras,
+            "wall_time_s": wall,
+            "outputs": outputs,
+        }
+        report_path = out_dir / f"{args.command.replace('-', '_')}_report.json"
+        report_path.write_text(_json_text(report, sort_keys=True))
     except UsageError as exc:
         print(f"minplus: usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
@@ -458,20 +482,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, MinPlusError) as exc:
         print(f"minplus: error: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
-    wall = time.perf_counter() - started
-    parameters = {
-        k: v for k, v in vars(args).items() if k not in ("func", "command") and not callable(v)
-    }
-    report = {
-        "command": argv,
-        "seed": getattr(args, "seed", None),
-        "parameters": parameters,
-        "residuals": extras,
-        "wall_time_s": wall,
-        "outputs": outputs,
-    }
-    report_path = out_dir / f"{args.command.replace('-', '_')}_report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -54,13 +54,6 @@ class TropicalMatrix:
     def shape(self) -> tuple[int, int]:
         return self._data.shape
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def is_symmetric(self) -> bool:
-        """Exact symmetry check; inf entries match only inf."""
-        return self.is_square() and bool(np.array_equal(self._data, self._data.T))
-
     def transpose(self) -> "TropicalMatrix":
         return TropicalMatrix(self._data.T)
 

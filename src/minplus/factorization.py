@@ -32,6 +32,14 @@ from .regression import RegressionConfig, chebyshev_regression, newton_directed_
 
 INFEASIBLE_HINT = "cap infinite entries first (the CLI exposes --cap for this)"
 
+SYM_TOL = 0.0  # symmetric driver: early-exit residual target
+DECAY_PATIENCE = 5  # iterations without improvement before mu decays
+MU_DECAY = 0.5  # factor applied to mu on each decay
+MU_FLOOR = 1e-3  # mu never decays below this
+NONSYM_TOL = 1e-8  # general driver: stop once no factor entry moves this far
+INNER_MAX_ITER = 50  # 2-norm regression steps per row or column sweep
+KMEANS_MAX_ITER = 50  # Lloyd iterations of the kmeans start
+
 
 @dataclass
 class FactorPair:
@@ -50,9 +58,7 @@ class SymFactorConfig:
 
     rank is the number of virtual waypoints; jacobi_steps is the number of
     Jacobi sweeps per Newton approximation; shoot is the undershooting
-    weight mu of the convex-combination step. When the residual fails to
-    improve for decay_patience consecutive iterations, mu is multiplied by
-    mu_decay down to mu_floor. tol is an early-exit residual target.
+    weight mu of the convex-combination step.
     """
 
     rank: int
@@ -61,10 +67,6 @@ class SymFactorConfig:
     max_iter: int = 100
     restarts: int = 100
     seed: int = 0
-    tol: float = 0.0
-    mu_decay: float = 0.5
-    decay_patience: int = 5
-    mu_floor: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.rank < 1:
@@ -88,22 +90,19 @@ class NonsymFactorConfig:
     """
 
     max_iter: int = 100
-    tol: float = 1e-8
     restarts: int = 1
     seed: int = 0
     gauss_seidel: bool = False
-    inner_max_iter: int = 50
-    kmeans_max_iter: int = 50
     init: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _check_symmetric_distance(D: TropicalMatrix, *, require_finite: bool = True) -> np.ndarray:
+def _check_symmetric_distance(D: TropicalMatrix) -> np.ndarray:
     d = _data_of(D)
     if d.shape[0] != d.shape[1]:
         raise ShapeError(f"expected a square matrix, got {d.shape}")
     if not np.array_equal(d, d.T):
         raise ShapeError("matrix is not symmetric")
-    if require_finite and not np.isfinite(d).all():
+    if not np.isfinite(d).all():
         raise DomainError(f"matrix has non-finite entries; {INFEASIBLE_HINT}")
     return d
 
@@ -257,7 +256,7 @@ def _sym_run(d: np.ndarray, f0: np.ndarray, cfg: SymFactorConfig):
     mu = cfg.shoot
     stall = 0
     for _ in range(cfg.max_iter):
-        if best_res <= cfg.tol:
+        if best_res <= SYM_TOL:
             break
         setup = _jacobi_setup(d, f)
         fp = f.copy()
@@ -271,8 +270,8 @@ def _sym_run(d: np.ndarray, f0: np.ndarray, cfg: SymFactorConfig):
             stall = 0
         else:
             stall += 1
-            if stall >= cfg.decay_patience:
-                mu = max(mu * cfg.mu_decay, cfg.mu_floor)
+            if stall >= DECAY_PATIENCE:
+                mu = max(mu * MU_DECAY, MU_FLOOR)
                 stall = 0
         trace.append(best_res)
     return best_f, best_res, trace
@@ -297,31 +296,28 @@ def sym_factorize(
     n = d.shape[0]
     if cfg.rank > n:
         raise ValueError(f"rank {cfg.rank} exceeds matrix size {n}")
-    best: tuple[float, np.ndarray, list[float]] | None = None
-    runs = 0
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        waypoints = rng.choice(n, size=cfg.rank, replace=False)
-        f0 = d[:, waypoints]
-        f, res, trace = _sym_run(d, f0, cfg)
-        runs += 1
-        if best is None or res < best[0]:
-            best = (res, f, trace)
-        if best[0] <= cfg.tol:
-            break
-    if best is None or best[0] > cfg.tol:
+
+    def starts():
+        for r in range(cfg.restarts):
+            rng = np.random.default_rng([cfg.seed, r])
+            yield d[:, rng.choice(n, size=cfg.rank, replace=False)]
         for f0 in extra_inits:
             f0 = np.asarray(f0, dtype=float)
             if f0.shape != (n, cfg.rank):
                 raise ShapeError(f"extra init shape {f0.shape} is not ({n}, {cfg.rank})")
             if not np.isfinite(f0).all():
                 raise DomainError("extra inits must be finite")
-            f, res, trace = _sym_run(d, f0, cfg)
-            runs += 1
-            if best is None or res < best[0]:
-                best = (res, f, trace)
-            if best[0] <= cfg.tol:
-                break
+            yield f0
+
+    best: tuple[float, np.ndarray, list[float]] | None = None
+    runs = 0
+    for f0 in starts():
+        f, res, trace = _sym_run(d, f0, cfg)
+        runs += 1
+        if best is None or res < best[0]:
+            best = (res, f, trace)
+        if best[0] <= SYM_TOL:
+            break
     assert best is not None
     res, f, trace = best
     return FactorPair(
@@ -344,7 +340,7 @@ def residual_of_given_factor(D: TropicalMatrix, F: TropicalMatrix) -> float:
     return frobenius_distance(D, TropicalMatrix(_mp(f, f.T)))
 
 
-def _kmeans_columns(m_data: np.ndarray, k: int, rng: np.random.Generator, max_iter: int) -> np.ndarray:
+def _kmeans_columns(m_data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Cluster the columns of m_data (points in R^n) into k centers.
 
     Seeding picks centers with probability proportional to squared
@@ -367,7 +363,7 @@ def _kmeans_columns(m_data: np.ndarray, k: int, rng: np.random.Generator, max_it
         d2 = np.minimum(d2, np.sum((points - points[nxt]) ** 2, axis=1))
     centers = points[center_idx].astype(float).copy()
     assign = None
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dist = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_assign = dist.argmin(axis=1)
         to_center = dist[np.arange(count), new_assign].copy()
@@ -404,7 +400,7 @@ def nonsym_factorize(M: TropicalMatrix, m: int, cfg: NonsymFactorConfig | None =
     n, d_cols = m_mat.shape
     if not (1 <= m <= min(n, d_cols)):
         raise ValueError(f"rank must lie in 1..{min(n, d_cols)}")
-    inner_cfg = RegressionConfig(max_iter=cfg.inner_max_iter)
+    inner_cfg = RegressionConfig(max_iter=INNER_MAX_ITER)
     best: tuple[float, np.ndarray, np.ndarray, list[float]] | None = None
     runs = 0
     for r in range(cfg.restarts):
@@ -419,7 +415,7 @@ def nonsym_factorize(M: TropicalMatrix, m: int, cfg: NonsymFactorConfig | None =
             if not (np.isfinite(a).all() and np.isfinite(b).all()):
                 raise DomainError("init factors must be finite")
         else:
-            a = _kmeans_columns(m_mat, m, rng, cfg.kmeans_max_iter)
+            a = _kmeans_columns(m_mat, m, rng)
             b = np.empty((m, d_cols))
             a_trop = TropicalMatrix(a)
             for j in range(d_cols):
@@ -452,7 +448,7 @@ def nonsym_factorize(M: TropicalMatrix, m: int, cfg: NonsymFactorConfig | None =
                 float(np.max(np.abs(a - a_prev), initial=0.0)),
                 float(np.max(np.abs(b - b_prev), initial=0.0)),
             )
-            if change < cfg.tol:
+            if change < NONSYM_TOL:
                 break
         runs += 1
         if best is None or run_best[0] < best[0]:

@@ -58,6 +58,14 @@ def _edge_key(u: int, v: int, directed: bool) -> tuple[int, int]:
     return (v, u)
 
 
+def _min_weight_edges(keyed: list[tuple[tuple[int, int], float]]) -> tuple[tuple[int, int, float], ...]:
+    """Collapse repeated edge keys to their minimum weight, in first-seen order."""
+    weight: dict[tuple[int, int], float] = {}
+    for key, w in keyed:
+        weight[key] = min(weight.get(key, w), w)
+    return tuple((u, v, w) for (u, v), w in weight.items())
+
+
 def load_edge_list(text: str, directed: bool = False) -> Graph:
     """Parse `u v [w]` lines into a Graph.
 
@@ -67,8 +75,7 @@ def load_edge_list(text: str, directed: bool = False) -> Graph:
     """
     index_of: dict[str, int] = {}
     order: list[str] = []
-    weight: dict[tuple[int, int], float] = {}
-    first_seen: list[tuple[int, int]] = []
+    keyed: list[tuple[tuple[int, int], float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -89,14 +96,8 @@ def load_edge_list(text: str, directed: bool = False) -> Graph:
             raise DomainError(f"line {lineno}: weight must be finite, got {tokens[2]!r}")
         if w < 0:
             raise DomainError(f"line {lineno}: negative weight {w}")
-        key = _edge_key(u, v, directed)
-        if key not in weight:
-            weight[key] = w
-            first_seen.append(key)
-        else:
-            weight[key] = min(weight[key], w)
-    edges = tuple((u, v, weight[(u, v)]) for u, v in first_seen)
-    return Graph(tuple(order), edges, directed)
+        keyed.append((_edge_key(u, v, directed), w))
+    return Graph(tuple(order), _min_weight_edges(keyed), directed)
 
 
 def render_edge_list(g: Graph) -> str:
@@ -216,8 +217,7 @@ def load_gml_subset(text: str) -> Graph:
             raw_edges.append((source, target, w))
 
     index_of = {node_id: i for i, node_id in enumerate(ids)}
-    weight: dict[tuple[int, int], float] = {}
-    first_seen: list[tuple[int, int]] = []
+    keyed: list[tuple[tuple[int, int], float]] = []
     for source, target, w in raw_edges:
         if source not in index_of:
             raise ParseError(f"edge references unknown node id {source!r}")
@@ -227,14 +227,8 @@ def load_gml_subset(text: str) -> Graph:
             raise DomainError(f"edge ({source}, {target}) weight must be finite")
         if w < 0:
             raise DomainError(f"edge ({source}, {target}) has negative weight {w}")
-        key = _edge_key(index_of[source], index_of[target], directed)
-        if key not in weight:
-            weight[key] = w
-            first_seen.append(key)
-        else:
-            weight[key] = min(weight[key], w)
-    edges = tuple((u, v, weight[(u, v)]) for u, v in first_seen)
-    return Graph(tuple(ids), edges, directed)
+        keyed.append((_edge_key(index_of[source], index_of[target], directed), w))
+    return Graph(tuple(ids), _min_weight_edges(keyed), directed)
 
 
 def graph_to_tropical(g: Graph) -> TropicalMatrix:

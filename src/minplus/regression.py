@@ -26,7 +26,6 @@ TIE_TOL = 1e-9
 class RegressionConfig:
     max_iter: int = 500
     tol: float = 1e-10  # relative residual decrease per step
-    tie_tol: float = TIE_TOL
 
 
 @dataclass
@@ -349,7 +348,7 @@ def newton_directed_line_search(
     converged = False
     iterations = 0
     for _ in range(cfg.max_iter):
-        pattern = active_pattern(A, x, cfg.tie_tol)
+        pattern = active_pattern(A, x)
         target = restricted_newton_target(A, y, pattern)
         if float(np.max(np.abs(target - x))) == 0.0:
             converged = True  # stationary: the target is the current point

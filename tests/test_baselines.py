@@ -1,7 +1,8 @@
-"""Classical baselines: one-sided Jacobi SVD and multiplicative-update NNMF.
+"""Classical baselines: LAPACK SVD and multiplicative-update NNMF.
 
-numpy.linalg decompositions appear here only as independent oracles; the
-library routines under test never call them.
+The library's svd wraps numpy.linalg.svd, so the SVD tests here check
+the wrapper's contract (ordering, orthonormality, rank deficiency,
+truncation) rather than an independent algorithm.
 """
 
 import numpy as np

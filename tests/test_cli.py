@@ -398,6 +398,43 @@ def test_numerical_errors_exit_4(tmp_path):
     assert main(["spd", "--input", str(neg), "--out-dir", str(tmp_path)]) == 4
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["factor", "--rank", "1"], ["residual-curve", "--method", "minplus-sym"]],
+)
+@pytest.mark.parametrize("mu", ["0", "1.5", "nan"])
+def test_mu_outside_unit_interval_exits_2(edges_file, tmp_path, command, mu):
+    argv = command + ["--input", str(edges_file), "--mu", mu, "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert list(tmp_path.glob("*.json")) == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_cap_or_tol_exits_2(edges_file, tmp_path, value):
+    (tmp_path / "A.csv").write_text("0,0\n1,0\n")
+    (tmp_path / "y.csv").write_text("0\n1\n")
+    for argv in (
+        ["factor", "--input", str(edges_file), "--rank", "1", "--cap", value],
+        ["regress", "--matrix", str(tmp_path / "A.csv"), "--rhs", str(tmp_path / "y.csv"),
+         "--norm", "2", "--tol", value],
+    ):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert list(tmp_path.glob("*.json")) == []
+
+
+def test_nonfinite_result_exits_4_without_json(tmp_path):
+    src = tmp_path / "two.edges"
+    src.write_text("a b 1\nc d 2\n")
+    out = tmp_path / "run"
+    argv = [
+        "factor", "--input", str(src), "--rank", "1", "--cap", "1e308",
+        "--restarts", "2", "--max-iter", "5", "--out-dir", str(out),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 4
+    assert list(out.glob("*.json")) == []
+
+
 def test_module_entry_point(edges_file, tmp_path):
     proc = subprocess.run(
         [
