@@ -321,6 +321,8 @@ def _cmd_residual_curve(args, out_dir: Path):
             pair = sym_factorize(matrix_for_rank, _sym_config(args, m), extra_inits=extra)
             prev_left = pair.left.data
             rows.append((m, relative(pair.residual)))
+    if not np.isfinite([v for _, v in rows]).all():
+        raise DomainError("residual curve is not finite; use a smaller --cap")
     body = "rank,relative_residual\n" + "".join(f"{m},{v:.17g}\n" for m, v in rows)
     out_path = _write(out_dir / args.out, body)
     return [out_path], {"ranks": len(rows), "final_relative_residual": rows[-1][1] if rows else None}

@@ -76,11 +76,22 @@ def identity(n: int) -> TropicalMatrix:
 
 
 def _mp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Raw min-plus product on float arrays; shapes must already agree."""
+    """Raw min-plus product on float arrays; shapes must already agree.
+
+    Loops over the inner index, folding each rank-one sum a[:,k] + b[k,:]
+    into the output with an in-place minimum, so scratch memory is two
+    n x m arrays rather than an n x k x m tensor. min is exact and
+    order-free, so the result equals the broadcast formula bit for bit.
+    """
     if a.shape[1] == 0:
         # empty k-sum: the min over nothing is the additive identity
         return np.full((a.shape[0], b.shape[1]), INF)
-    return np.min(a[:, :, None] + b[None, :, :], axis=1)
+    out = a[:, 0, None] + b[0, None, :]
+    term = np.empty_like(out)
+    for k in range(1, a.shape[1]):
+        np.add(a[:, k, None], b[k, None, :], out=term)
+        np.minimum(out, term, out=out)
+    return out
 
 
 def mp_multiply(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
@@ -130,9 +141,13 @@ def kleene_star(A: TropicalMatrix, max_power: int | None = None) -> TropicalMatr
             power = _mp(power, a)
             out = np.minimum(out, power)
         return TropicalMatrix(out)
+    # in place, through one reused buffer: a fresh n x n array per step
+    # leaves the speed to the allocator's state (mmap threshold)
     d = np.minimum(a, identity(n).data)
+    via_k = np.empty_like(d)
     for k in range(n):
-        d = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
+        np.add(d[:, k, None], d[k, None, :], out=via_k)
+        np.minimum(d, via_k, out=d)
     if (np.diag(d) < 0).any():
         raise NegativeCycleError("matrix contains a negative-weight cycle; the closure diverges")
     return TropicalMatrix(d)

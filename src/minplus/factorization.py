@@ -195,34 +195,65 @@ def actual_waypoint_search(
     return best_w, pair
 
 
-def _jacobi_setup(d: np.ndarray, f: np.ndarray):
-    """Selector tables for the quadratic frozen at factor f.
+def _sym_product(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F (x) F^T and its selectors K in one pass over the m columns.
 
-    K[i,j] is the smallest column attaining min_k(f_ik + f_jk). The
-    returned pieces let one Jacobi sweep run as dense array arithmetic.
+    K[i,j] is the smallest column attaining min_k(f_ik + f_jk): a column
+    replaces the running minimum only when strictly smaller, so ties keep
+    the earlier column, exactly as argmin does. Scratch memory is O(n^2)
+    (the n x n product, selectors, one column sum and its mask); the
+    n x n x m tensor of pair values is never formed.
     """
     n, m = f.shape
-    pair_values = f[:, None, :] + f[None, :, :]
-    selectors = pair_values.argmin(axis=2)
-    one_hot = selectors[:, :, None] == np.arange(m)[None, None, :]
-    diag = np.arange(n)
-    diag_hot = one_hot[diag, diag, :]  # 1_ik: does row i anchor column k
-    cross_count = one_hot.sum(axis=1) - diag_hot
-    static_num = np.einsum("ijk,ij->ik", one_hot, d) - diag_hot * d[diag, diag][:, None]
-    denominator = 2.0 * diag_hot + cross_count
-    return one_hot, diag_hot, static_num, denominator, diag
+    product = f[:, 0, None] + f[None, :, 0]
+    selectors = np.zeros((n, n), dtype=np.intp)
+    column = np.empty_like(product)
+    better = np.empty(product.shape, dtype=bool)
+    for k in range(1, m):
+        np.add(f[:, k, None], f[None, :, k], out=column)
+        np.less(column, product, out=better)
+        np.copyto(product, column, where=better)
+        selectors[better] = k
+    return product, selectors
 
 
-def _jacobi_apply(d: np.ndarray, setup, fp: np.ndarray) -> np.ndarray:
+def _jacobi_setup(d: np.ndarray, selectors: np.ndarray, m: int):
+    """Tables for Jacobi sweeps of the quadratic frozen at selectors K.
+
+    K comes from _sym_product, so a tied pair belongs to its smallest
+    attaining column. Pair (i,j) feeds entry (i, K[i,j]) of the update,
+    so every per-entry sum over j is a bincount over the flat index
+    i*m + K[i,j]. The setup and each sweep need O(n^2) scratch memory
+    (flat indices and gathered weights) and O(n^2) work, independent of m.
+    """
+    n = d.shape[0]
+    rows = np.arange(n)
+    bins = (rows[:, None] * m + selectors).ravel()
+    gather = (rows[None, :] * m + selectors).ravel()  # flat position of fp[j, K[i,j]]
+    diag_hot = np.zeros((n, m))  # 1_ik: does row i anchor column k
+    diag_hot[rows, selectors[rows, rows]] = 1.0
+    d_diag = d[rows, rows][:, None]
+    count = np.bincount(bins, minlength=n * m).reshape(n, m)
+    d_sums = np.bincount(bins, weights=d.ravel(), minlength=n * m).reshape(n, m)
+    static_num = d_sums - diag_hot * d_diag
+    denominator = 2.0 * diag_hot + (count - diag_hot)
+    positive = denominator > 0
+    anchored_num = d_diag * diag_hot + static_num
+    return bins, gather, diag_hot, anchored_num, positive, np.where(positive, denominator, 1.0)
+
+
+def _jacobi_apply(setup, fp: np.ndarray) -> np.ndarray:
     """One Jacobi sweep of the frozen quadratic's normal equations.
 
     Entry (i,k) becomes (d_ii*1_ik + sum_{j != i, K(i,j)=k} (d_ij - fp_jk))
-    / (2*1_ik + #{j != i : K(i,j)=k}); zero denominators copy fp.
+    / (2*1_ik + #{j != i : K(i,j)=k}); zero denominators copy fp. The sum
+    over j gathers fp[j, K[i,j]] and bincounts it: O(n^2) time and memory.
     """
-    one_hot, diag_hot, static_num, denominator, diag = setup
-    cross = np.einsum("ijk,jk->ik", one_hot, fp) - diag_hot * fp
-    numerator = d[diag, diag][:, None] * diag_hot + static_num - cross
-    return np.where(denominator > 0, numerator / np.where(denominator > 0, denominator, 1.0), fp)
+    bins, gather, diag_hot, anchored_num, positive, denominator = setup
+    n, m = fp.shape
+    fp_sums = np.bincount(bins, weights=fp.ravel()[gather], minlength=n * m).reshape(n, m)
+    cross = fp_sums - diag_hot * fp
+    return np.where(positive, (anchored_num - cross) / denominator, fp)
 
 
 def jacobi_map(D: TropicalMatrix, F: TropicalMatrix, Fp: TropicalMatrix) -> TropicalMatrix:
@@ -240,17 +271,23 @@ def jacobi_map(D: TropicalMatrix, F: TropicalMatrix, Fp: TropicalMatrix) -> Trop
         raise ShapeError(f"factor shapes disagree: D {d.shape}, F {f.shape}, Fp {fp.shape}")
     if not (np.isfinite(d).all() and np.isfinite(f).all() and np.isfinite(fp).all()):
         raise DomainError("jacobi_map needs finite inputs")
-    return TropicalMatrix(_jacobi_apply(d, _jacobi_setup(d, f), fp))
+    setup = _jacobi_setup(d, _sym_product(f)[1], f.shape[1])
+    return TropicalMatrix(_jacobi_apply(setup, fp))
 
 
 def _sym_run(d: np.ndarray, f0: np.ndarray, cfg: SymFactorConfig):
     """One restart of the symmetric driver; returns (best F, residual, trace).
 
-    The trace records the best residual seen up to each iteration, so it
-    is non-increasing by construction.
+    Each iterate's product F (x) F^T and selectors come from one
+    _sym_product pass: the product scores the iterate and the selectors
+    freeze the next iteration's quadratic. No step needs more than O(n^2)
+    scratch memory. The trace records the best residual seen up to each
+    iteration, so it is non-increasing by construction.
     """
     f = f0.astype(float).copy()
-    best_res = float(np.sqrt(np.sum((d - _mp(f, f.T)) ** 2)))
+    m = f.shape[1]
+    product, selectors = _sym_product(f)
+    best_res = float(np.sqrt(np.sum((d - product) ** 2)))
     best_f = f.copy()
     trace = [best_res]
     mu = cfg.shoot
@@ -258,12 +295,13 @@ def _sym_run(d: np.ndarray, f0: np.ndarray, cfg: SymFactorConfig):
     for _ in range(cfg.max_iter):
         if best_res <= SYM_TOL:
             break
-        setup = _jacobi_setup(d, f)
-        fp = f.copy()
+        setup = _jacobi_setup(d, selectors, m)
+        fp = f
         for _ in range(cfg.jacobi_steps):
-            fp = _jacobi_apply(d, setup, fp)
+            fp = _jacobi_apply(setup, fp)
         f = mu * fp + (1.0 - mu) * f
-        res = float(np.sqrt(np.sum((d - _mp(f, f.T)) ** 2)))
+        product, selectors = _sym_product(f)
+        res = float(np.sqrt(np.sum((d - product) ** 2)))
         if res < best_res:
             best_res = res
             best_f = f.copy()

@@ -435,6 +435,20 @@ def test_nonfinite_result_exits_4_without_json(tmp_path):
     assert list(out.glob("*.json")) == []
 
 
+@pytest.mark.parametrize("method", ["svd", "minplus-sym"])
+def test_nonfinite_residual_curve_exits_4_without_files(tmp_path, method):
+    src = tmp_path / "two.edges"
+    src.write_text("a b 1\nb c 1\nd e 2\n")
+    out = tmp_path / "run"
+    argv = [
+        "residual-curve", "--method", method, "--input", str(src), "--cap", "1e308",
+        "--restarts", "2", "--max-iter", "5", "--out-dir", str(out),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 4
+    assert list(out.iterdir()) == []
+
+
 def test_module_entry_point(edges_file, tmp_path):
     proc = subprocess.run(
         [

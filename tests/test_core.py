@@ -1,5 +1,7 @@
 """Tropical matrix type, min-plus products, Kleene star, CSV round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,32 @@ def test_associativity_exact_on_integers():
         left = mp_multiply(mp_multiply(a, b), c)
         right = mp_multiply(a, mp_multiply(b, c))
         assert np.array_equal(left.data, right.data)
+
+
+def brute_force_product(a, b):
+    """Triple-loop oracle: entry (i,j) = min over k of a_ik + b_kj."""
+    out = np.full((a.shape[0], b.shape[1]), INF)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            for k in range(a.shape[1]):
+                out[i, j] = min(out[i, j], a[i, k] + b[k, j])
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape", [(5, 1, 4), (1, 6, 1), (1, 5, 7), (6, 0, 3), (4, 7, 3), (7, 3, 5)]
+)
+def test_multiply_matches_brute_force_bitwise(shape):
+    n, k, m = shape
+    rng = np.random.default_rng(list(shape))
+    for _ in range(5):
+        a = rng.normal(scale=10.0, size=(n, k))
+        b = rng.normal(scale=10.0, size=(k, m))
+        a[rng.random(size=a.shape) < 0.25] = INF
+        b[rng.random(size=b.shape) < 0.25] = INF
+        got = mp_multiply(TropicalMatrix(a), TropicalMatrix(b)).data
+        assert got.shape == (n, m)
+        assert np.array_equal(got, brute_force_product(a, b))
 
 
 def test_transpose_antihomomorphism():
@@ -174,6 +202,19 @@ def test_is_idempotent_hand_cases():
     assert is_idempotent(TropicalMatrix([[0.0, 1.0], [3.0, 0.0]]))
     # nonzero diagonal keeps shrinking under squaring
     assert not is_idempotent(TropicalMatrix([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_is_idempotent_memory_is_quadratic():
+    n = 300
+    rng = np.random.default_rng(300)
+    closure = kleene_star(TropicalMatrix(random_nonneg_graph_matrix(rng, n, density=0.02)))
+    tracemalloc.start()
+    try:
+        assert is_idempotent(closure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n * 8  # a few n x n arrays, never n x n x n
 
 
 def test_tropical_allclose_infinity_handling():

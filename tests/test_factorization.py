@@ -1,6 +1,7 @@
 """Waypoint selection, Jacobi updates, and the two factorization drivers."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from minplus import (
     residual_of_given_factor,
     sym_factorize,
 )
+
+from minplus.core import _mp
+from minplus.factorization import _sym_product
 
 from conftest import random_nonneg_graph_matrix
 
@@ -148,6 +152,60 @@ def test_jacobi_map_copies_unselected_columns():
     fp = np.array([[0.0, 7.0], [0.0, 8.0]])
     out = jacobi_map(d, f, fp)
     assert np.array_equal(out.data[:, 1], fp[:, 1])
+
+
+def einsum_jacobi_sweep(d, f, fp):
+    """Reference sweep: one-hot n x n x m selector tensor contracted by einsum."""
+    n, m = f.shape
+    selectors = (f[:, None, :] + f[None, :, :]).argmin(axis=2)
+    one_hot = selectors[:, :, None] == np.arange(m)[None, None, :]
+    diag = np.arange(n)
+    diag_hot = one_hot[diag, diag, :]
+    cross_count = one_hot.sum(axis=1) - diag_hot
+    static_num = np.einsum("ijk,ij->ik", one_hot, d) - diag_hot * d[diag, diag][:, None]
+    denominator = 2.0 * diag_hot + cross_count
+    cross = np.einsum("ijk,jk->ik", one_hot, fp) - diag_hot * fp
+    numerator = d[diag, diag][:, None] * diag_hot + static_num - cross
+    return np.where(denominator > 0, numerator / np.where(denominator > 0, denominator, 1.0), fp)
+
+
+@pytest.mark.parametrize("ties", [True, False])
+def test_jacobi_sweep_and_selectors_match_einsum_reference(ties):
+    rng = np.random.default_rng(17 if ties else 18)
+    for _ in range(10):
+        n, m = int(rng.integers(2, 12)), int(rng.integers(1, 6))
+        d = random_distance_matrix(rng, n)
+        if ties:  # small integer factors: many pairs attain their min twice
+            f = rng.integers(0, 4, size=(n, m)).astype(float)
+        else:
+            f = rng.normal(scale=3.0, size=(n, m))
+        fp = f + rng.normal(size=(n, m))
+        pair_values = f[:, None, :] + f[None, :, :]
+        product, selectors = _sym_product(f)
+        assert np.array_equal(selectors, pair_values.argmin(axis=2))
+        assert np.array_equal(product, pair_values.min(axis=2))
+        assert np.array_equal(product, _mp(f, f.T))
+        got, want = jacobi_map(d, f, fp).data, einsum_jacobi_sweep(d, f, fp)
+        if m == 1:
+            # einsum sums a single contiguous column with unrolled partial
+            # sums, bincount sums in order: they may differ by a few ulps
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        else:
+            assert np.array_equal(got, want)
+
+
+def test_sym_factorize_memory_is_quadratic():
+    n = 300
+    rng = np.random.default_rng(300)
+    d = kleene_star(TropicalMatrix(random_nonneg_graph_matrix(rng, n, density=0.05))).data
+    cfg = SymFactorConfig(rank=8, max_iter=1, restarts=1, seed=0)
+    tracemalloc.start()
+    try:
+        sym_factorize(d, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n * 8  # a few n x n arrays, never n x n x m
 
 
 def test_jacobi_iteration_reaches_stationary_point_of_frozen_quadratic():
