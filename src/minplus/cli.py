@@ -173,12 +173,12 @@ def _cmd_regress(args, out_dir: Path):
         cfg = RegressionConfig(max_iter=args.max_iter, tol=args.tol)
         outcome = newton_directed_line_search(a, y, x0=x0, cfg=cfg)
     record = {
-        "solution": [float(v) for v in outcome.solution],
+        "solution": outcome.solution.tolist(),
         "residual_norm": float(outcome.residual_norm),
         "norm_kind": outcome.norm_kind,
         "iterations": outcome.iterations,
         "converged": outcome.converged,
-        "residual_trace": [float(v) for v in outcome.residual_trace],
+        "residual_trace": list(outcome.residual_trace),
     }
     out_path = _write(out_dir / args.out, _json_text(record))
     return [out_path], {"residual_norm": record["residual_norm"]}
@@ -191,9 +191,9 @@ def _factor_record(mode, rank, pair, labels, waypoints=None):
         "residual": float(pair.residual),
         "restarts_used": pair.restarts_used,
         "labels": list(labels),
-        "left": [[float(v) for v in row] for row in pair.left.data],
-        "right": [[float(v) for v in row] for row in pair.right.data],
-        "residual_trace": [float(v) for v in pair.iteration_trace],
+        "left": pair.left.data.tolist(),
+        "right": pair.right.data.tolist(),
+        "residual_trace": list(pair.iteration_trace),
     }
     if waypoints is not None:
         record["waypoints"] = [int(w) + 1 for w in waypoints]  # 1-based positions
@@ -330,10 +330,17 @@ def _cmd_residual_curve(args, out_dir: Path):
 
 def _cmd_assign(args, out_dir: Path):
     record = json.loads(Path(args.factors).read_text())
-    left = np.asarray(record["left"], dtype=float)
+    try:
+        left = np.asarray(record["left"], dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows or non-numeric entries
+        raise ShapeError(f"left factor is not a numeric matrix: {exc}") from exc
     if left.ndim != 2 or left.shape[0] == 0:
         raise ShapeError("factor file holds no left factor rows")
+    if np.isnan(left).any():
+        raise ParseError("left factor holds a NaN entry")
     labels = record.get("labels") or [str(i + 1) for i in range(left.shape[0])]
+    if not isinstance(labels, list) or len(labels) != left.shape[0]:
+        raise ShapeError(f"labels do not name the {left.shape[0]} left factor rows one each")
     assigned = left.argmin(axis=1) + 1  # smallest index wins ties, 1-based
     nonpositive = int(np.sum(left <= 0.0))
     lines = ["node,assigned," + ",".join(f"recip_{k + 1}" for k in range(left.shape[1]))]

@@ -45,15 +45,22 @@ class ActivePattern:
     """Argmin bookkeeping for the piecewise-quadratic residual at a point x.
 
     selectors[i] is the smallest column attaining min_j(a_ij + x_j)
-    exactly; tied_rows lists rows whose minimum is attained (within
-    tie_tol) by more than one column, i.e. x lies on the tie surface; and
-    tie_sets holds those rows' near-minimal column sets.
+    exactly, and near[i, j] marks the columns within TIE_TOL of that
+    minimum. tied_rows lists rows with more than one near column, i.e. x
+    lies on the tie surface, and tie_sets holds those rows' near columns.
     """
 
     x: np.ndarray
     selectors: np.ndarray
-    tied_rows: tuple[int, ...]
-    tie_sets: tuple[tuple[int, ...], ...]
+    near: np.ndarray
+
+    @property
+    def tied_rows(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.near.sum(axis=1) > 1).tolist())
+
+    @property
+    def tie_sets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(np.flatnonzero(self.near[i]).tolist()) for i in self.tied_rows)
 
 
 def min_plus_apply(A: TropicalMatrix, x: np.ndarray) -> np.ndarray:
@@ -127,7 +134,7 @@ def residual_sq(A: TropicalMatrix, y: np.ndarray, x: np.ndarray) -> float:
 
 
 def active_pattern(A: TropicalMatrix, x: np.ndarray, tie_tol: float = TIE_TOL) -> ActivePattern:
-    """Smallest-index argmin per row plus the rows tied within tie_tol."""
+    """Smallest-index argmin per row plus the columns within tie_tol of it."""
     a = _data_of(A)
     x = np.asarray(x, dtype=float)
     if x.shape != (a.shape[1],):
@@ -136,10 +143,7 @@ def active_pattern(A: TropicalMatrix, x: np.ndarray, tie_tol: float = TIE_TOL) -
     row_min = values.min(axis=1)
     selectors = values.argmin(axis=1)  # first minimum = smallest index
     near = values <= row_min[:, None] + tie_tol
-    counts = near.sum(axis=1)
-    tied_rows = tuple(int(i) for i in np.where(counts > 1)[0])
-    tie_sets = tuple(tuple(int(j) for j in np.where(near[i])[0]) for i in tied_rows)
-    return ActivePattern(x=x.copy(), selectors=selectors, tied_rows=tied_rows, tie_sets=tie_sets)
+    return ActivePattern(x=x.copy(), selectors=selectors, near=near)
 
 
 def newton_target(A: TropicalMatrix, y: np.ndarray, pattern: ActivePattern) -> np.ndarray:
@@ -164,155 +168,108 @@ def restricted_newton_target(A: TropicalMatrix, y: np.ndarray, pattern: ActivePa
     """Newton target restricted to directions tangent to the tie surface.
 
     Columns tied within a row must move by a common increment, otherwise
-    the step immediately leaves the quadratic piece. Tied columns are
-    merged into rigid groups (union-find) and each group takes the mean
-    increment its selecting rows ask for; groups selected by no row stay
-    frozen. Without ties this reduces to newton_target.
+    the step immediately leaves the quadratic piece. Tie groups are the
+    connected components of the rows' near-column sets, found by
+    propagating the smallest column label through pattern.near (at most d
+    rounds of O(n*d) each, so scratch memory is O(n*d)). Each group moves
+    by the mean increment y_i - a_ik - x_k over the rows selecting one of
+    its columns, summed in row order; groups selected by no row stay
+    frozen.
     """
-    if not pattern.tied_rows:
-        return newton_target(A, y, pattern)
     a = _data_of(A)
     y = _check_rhs(a, y)
     n, d = a.shape
-    parent = list(range(d))
-
-    def find(k: int) -> int:
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for tie_set in pattern.tie_sets:
-        root = find(tie_set[0])
-        for k in tie_set[1:]:
-            parent[find(k)] = root
-
-    sel = pattern.selectors
-    x = pattern.x
-    increment_sum: dict[int, float] = {}
-    increment_cnt: dict[int, int] = {}
-    for i in range(n):
-        g = find(int(sel[i]))
-        increment_sum[g] = increment_sum.get(g, 0.0) + float(y[i] - a[i, sel[i]] - x[sel[i]])
-        increment_cnt[g] = increment_cnt.get(g, 0) + 1
-    delta = np.zeros(d)
-    for k in range(d):
-        g = find(k)
-        if g in increment_cnt:
-            delta[k] = increment_sum[g] / increment_cnt[g]
-    return x + delta
+    near, sel, x = pattern.near, pattern.selectors, pattern.x
+    labels = np.arange(d)
+    while True:
+        row_label = np.where(near, labels, d).min(axis=1, initial=d)
+        merged = np.minimum(labels, np.where(near, row_label[:, None], d).min(axis=0, initial=d))
+        if np.array_equal(merged, labels):
+            break
+        labels = merged
+    group = labels[sel]
+    sums = np.bincount(group, weights=y - a[np.arange(n), sel] - x[sel], minlength=d)
+    counts = np.bincount(group, minlength=d)
+    increment = np.divide(sums, counts, out=np.zeros(d), where=counts > 0)
+    return x + increment[labels]
 
 
-def _row_envelope(slopes: np.ndarray, intercepts: np.ndarray) -> list[tuple[float, int]]:
-    """Lower envelope of lines c_j + s_j*lam over lam in [0, 1].
-
-    Returns (start_lam, line_index) segments clipped to [0, 1]; the first
-    start is 0.0. Lines sorted by decreasing slope enter the envelope from
-    the left; among equal slopes only the lowest intercept survives.
-    """
-    order = np.lexsort((intercepts, -slopes))
-    stack: list[tuple[float, int]] = []  # (segment start, line index)
-    for j in order:
-        s, c = float(slopes[j]), float(intercepts[j])
-        if stack and s == slopes[stack[-1][1]]:
-            continue  # same slope, intercept not lower
-        while stack:
-            j_prev = stack[-1][1]
-            s_prev, c_prev = float(slopes[j_prev]), float(intercepts[j_prev])
-            lam = (c - c_prev) / (s_prev - s)  # s_prev > s strictly
-            if lam <= stack[-1][0]:
-                stack.pop()
-            else:
-                stack.append((lam, int(j)))
-                break
-        else:
-            stack.append((-INF, int(j)))
-    segments: list[tuple[float, int]] = []
-    for idx, (lam, j) in enumerate(stack):
-        end = stack[idx + 1][0] if idx + 1 < len(stack) else INF
-        if end <= 0.0 or lam >= 1.0:
-            continue
-        segments.append((max(lam, 0.0), j))
-    return segments
-
-
-def _segment_events(
-    a: np.ndarray, x: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, list[tuple[float, int, int]]]:
+def _segment_events(a: np.ndarray, x: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Initial active columns and sorted selector-change breakpoints along
     L(lam) = x + lam*(target - x).
 
-    Along the segment, row i's value is min over finite columns of the
-    lines (a_ij + x_j) + lam*(target_j - x_j); each row contributes at
-    most d-1 breakpoints, nd in total.
+    Row i's value along the segment is the lower envelope of the lines
+    (a_ij + x_j) + lam*(target_j - x_j) over its finite columns. Every row
+    starts on its line at lam = 0+: lowest intercept, then flattest slope,
+    then smallest index. All rows then walk their envelopes together: the
+    next line is the flatter line that crosses the current one first (ties:
+    flattest, then smallest index), and a crossing is clamped to the
+    previous breakpoint. Slopes fall strictly, so a row stops after at
+    most d rounds, each of O(n*d) work and scratch memory.
+
+    events is a structured array of (lam, row, col) triples, 0 < lam < 1,
+    sorted by lam, then row, then walk order; col is the row's new column.
     """
-    n = a.shape[0]
-    active = np.empty(n, dtype=int)
-    events: list[tuple[float, int, int]] = []
-    slopes_all = target - x
-    for i in range(n):
-        finite = np.where(np.isfinite(a[i]))[0]
-        segments = _row_envelope(slopes_all[finite], a[i, finite] + x[finite])
-        active[i] = finite[segments[0][1]]
-        for lam, j in segments[1:]:
-            events.append((lam, i, int(finite[j])))
-    events.sort()
-    return active, events
+    slopes = target - x
+    order = np.argsort(slopes, kind="stable")  # flattest first, then smallest index
+    slopes, lines = slopes[order], (a + x)[:, order]
+    rows = np.arange(a.shape[0])
+    start = cur = lines.argmin(axis=1)
+    lam = np.zeros(rows.size)
+    found = [(lam[:0], rows[:0], rows[:0])]
+    while rows.size:
+        at, s = np.arange(rows.size), slopes[cur]
+        cross = np.divide(  # an infinite line's crossing stays infinite
+            lines - lines[at, cur][:, None],
+            s[:, None] - slopes,
+            out=np.full(lines.shape, INF),
+            where=slopes < s[:, None],
+        )
+        nxt = cross.argmin(axis=1)
+        lam = np.maximum(cross[at, nxt], lam)
+        go = lam < 1.0
+        rows, cur, lam, lines = rows[go], nxt[go], lam[go], lines[go]
+        found.append((lam, rows, order[cur]))
+    lams, event_rows, cols = (np.concatenate(part) for part in zip(*found))
+    events = np.empty(lams.size, dtype=[("lam", float), ("row", np.intp), ("col", np.intp)])
+    events["lam"], events["row"], events["col"] = lams, event_rows, cols
+    return order[start], events[np.lexsort((event_rows, lams))]
 
 
-def _exact_line_search(
-    a: np.ndarray, y: np.ndarray, x: np.ndarray, target: np.ndarray
-) -> float:
+def _exact_line_search(a: np.ndarray, y: np.ndarray, x: np.ndarray, target: np.ndarray) -> float:
     """Exact minimizer lam in [0, 1] of the residual along x -> target.
 
-    Sweeps the sorted breakpoints, maintaining the aggregate quadratic
-    sum_i (c_i + s_i*lam)^2 with O(1) updates per selector change, and
-    minimizes each quadratic piece. Larger lam wins exact ties so a flat
-    optimal stretch reports lam = 1.
+    Each breakpoint swaps one row's coefficients (s^2, s*c, c^2) of
+    (c + s*lam)^2, so a cumulative sum of the swaps gives the aggregate
+    quadratic on every piece between breakpoints. All pieces are minimized
+    at once in closed form over both ends and the interior vertex;
+    zero-length pieces are skipped. The smallest value wins, and among
+    exact ties the larger lam, so a flat optimal stretch reports lam = 1.
+    Scratch memory is O(n*d).
     """
     n = a.shape[0]
     active, events = _segment_events(a, x, target)
-    coeff_c = a[np.arange(n), active] + x[active] - y
-    coeff_s = (target - x)[active]
-    q2 = float(coeff_s @ coeff_s)
-    q1 = float(coeff_s @ coeff_c)
-    q0 = float(coeff_c @ coeff_c)
-    best_val = q0
-    best_lam = 0.0
-
-    def consider(lo: float, hi: float) -> None:
-        nonlocal best_val, best_lam
-        candidates = [lo, hi]
-        if q2 > 0.0:
-            vertex = -q1 / q2
-            if lo < vertex < hi:
-                candidates.append(vertex)
-        for lam in candidates:
-            val = (q2 * lam + 2.0 * q1) * lam + q0
-            if val < best_val or (val <= best_val and lam > best_lam):
-                best_val, best_lam = val, lam
-
-    prev = 0.0
-    for lam, i, j in events:
-        if lam > prev:
-            consider(prev, min(lam, 1.0))
-            prev = lam
-        if lam >= 1.0:
-            break
-        c_old = a[i, active[i]] + x[active[i]] - y[i]
-        s_old = target[active[i]] - x[active[i]]
-        q2 -= s_old * s_old
-        q1 -= s_old * c_old
-        q0 -= c_old * c_old
-        active[i] = j
-        c_new = a[i, j] + x[j] - y[i]
-        s_new = target[j] - x[j]
-        q2 += s_new * s_new
-        q1 += s_new * c_new
-        q0 += c_new * c_new
-    if prev < 1.0:
-        consider(prev, 1.0)
-    return best_lam
+    rows, cols = events["row"], events["col"]
+    # the column each event leaves: its row's start column or previous event's column
+    by_row = np.argsort(rows, kind="stable")  # each row's events in walk order
+    same_row = rows[by_row[1:]] == rows[by_row[:-1]]
+    prev = active[rows]
+    prev[by_row[1:][same_row]] = cols[by_row[:-1][same_row]]
+    r = np.concatenate([np.arange(n), rows, rows])
+    j = np.concatenate([active, cols, prev])
+    s, c = (target - x)[j], (a + x - y[:, None])[r, j]
+    q = np.array([s * s, s * c, c * c])  # start rows, then new and old columns per event
+    k = rows.size
+    swaps = np.hstack([q[:, :n].sum(axis=1, keepdims=True), q[:, n : n + k] - q[:, n + k :]])
+    bounds = np.concatenate(([0.0], events["lam"], [1.0]))
+    lo, hi = bounds[:-1], bounds[1:]
+    keep = lo < hi
+    q2, q1, q0 = np.cumsum(swaps, axis=1)[:, keep]
+    lo, hi = lo[keep], hi[keep]
+    vertex = np.divide(-q1, q2, out=lo.copy(), where=q2 > 0.0)
+    lams = np.stack([lo, hi, np.where((lo < vertex) & (vertex < hi), vertex, lo)])
+    vals = (q2 * lams + 2.0 * q1) * lams + q0
+    return float(lams[vals == vals.min()].max())
 
 
 def newton_directed_line_search(

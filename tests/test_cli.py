@@ -363,6 +363,23 @@ def test_assign_tie_and_nonpositive_sentinel(tmp_path):
     assert report["residuals"]["nonpositive_entries"] == 1
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"left": [[1.0, 2.0], [2.0, 1.0], [3.0, 0.5]], "labels": ["u", "v"]},
+        {"left": [[1.0, 2.0], [2.0]]},
+        {"left": [[1.0, float("nan")], [2.0, 1.0]]},
+        {"left": [[1.0, 2.0], [2.0, 1.0]], "labels": 7},
+    ],
+    ids=["too-few-labels", "ragged-rows", "nan-entry", "labels-not-a-list"],
+)
+def test_assign_rejects_malformed_factors(record, tmp_path):
+    src = tmp_path / "factors.json"
+    src.write_text(json.dumps(record))
+    assert main(["assign", "--factors", str(src), "--out-dir", str(tmp_path)]) == 3
+    assert not (tmp_path / "assign.csv").exists()
+
+
 def test_assign_missing_file_is_data_error(tmp_path):
     assert main(["assign", "--factors", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)]) == 3
 

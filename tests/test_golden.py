@@ -31,6 +31,18 @@ CASES = {
         ],
         ("curve.csv",),
     ),
+    "spd": (["spd"], ("spd.csv",)),
+    "factor-actual": (
+        ["factor", "--mode", "actual", "--rank", "3", "--seed", "7"],
+        ("factors.json", "factors_left.csv", "factors_right.csv"),
+    ),
+    "factor-general": (
+        [
+            "factor", "--mode", "general", "--rank", "3", "--max-iter", "5",
+            "--restarts", "1", "--seed", "7",
+        ],
+        ("factors.json", "factors_left.csv", "factors_right.csv"),
+    ),
 }
 
 

@@ -313,3 +313,192 @@ def test_line_search_rejects_bad_inputs():
     good = TropicalMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(DomainError):
         newton_directed_line_search(good, np.array([0.0, 0.0]), x0=np.array([0.0, INF]))
+
+
+# Loop references for the array code in regression.py: the per-row
+# convex-hull stack, the per-event line-search sweep and the union-find
+# tie grouping they replaced.
+
+
+def ref_row_envelope(slopes, intercepts):
+    order = np.lexsort((intercepts, -slopes))
+    stack = []  # (segment start, line index)
+    for j in order:
+        s, c = float(slopes[j]), float(intercepts[j])
+        if stack and s == slopes[stack[-1][1]]:
+            continue  # same slope, intercept not lower
+        while stack:
+            j_prev = stack[-1][1]
+            s_prev, c_prev = float(slopes[j_prev]), float(intercepts[j_prev])
+            lam = (c - c_prev) / (s_prev - s)  # s_prev > s strictly
+            if lam <= stack[-1][0]:
+                stack.pop()
+            else:
+                stack.append((lam, int(j)))
+                break
+        else:
+            stack.append((-INF, int(j)))
+    segments = []
+    for idx, (lam, j) in enumerate(stack):
+        end = stack[idx + 1][0] if idx + 1 < len(stack) else INF
+        if end <= 0.0 or lam >= 1.0:
+            continue
+        segments.append((max(lam, 0.0), j))
+    return segments
+
+
+def ref_segment_events(a, x, target):
+    n = a.shape[0]
+    active = np.empty(n, dtype=int)
+    events = []
+    slopes_all = target - x
+    for i in range(n):
+        finite = np.where(np.isfinite(a[i]))[0]
+        segments = ref_row_envelope(slopes_all[finite], a[i, finite] + x[finite])
+        active[i] = finite[segments[0][1]]
+        for lam, j in segments[1:]:
+            events.append((lam, i, int(finite[j])))
+    events.sort()
+    return active, events
+
+
+def ref_exact_line_search(a, y, x, target):
+    n = a.shape[0]
+    active, events = ref_segment_events(a, x, target)
+    coeff_c = a[np.arange(n), active] + x[active] - y
+    coeff_s = (target - x)[active]
+    q2 = float(coeff_s @ coeff_s)
+    q1 = float(coeff_s @ coeff_c)
+    q0 = float(coeff_c @ coeff_c)
+    best_val, best_lam = q0, 0.0
+
+    def consider(lo, hi):
+        nonlocal best_val, best_lam
+        candidates = [lo, hi]
+        if q2 > 0.0:
+            vertex = -q1 / q2
+            if lo < vertex < hi:
+                candidates.append(vertex)
+        for lam in candidates:
+            val = (q2 * lam + 2.0 * q1) * lam + q0
+            if val < best_val or (val <= best_val and lam > best_lam):
+                best_val, best_lam = val, lam
+
+    prev = 0.0
+    for lam, i, j in events:
+        if lam > prev:
+            consider(prev, min(lam, 1.0))
+            prev = lam
+        c_old = a[i, active[i]] + x[active[i]] - y[i]
+        s_old = target[active[i]] - x[active[i]]
+        q2 -= s_old * s_old
+        q1 -= s_old * c_old
+        q0 -= c_old * c_old
+        active[i] = j
+        c_new = a[i, j] + x[j] - y[i]
+        s_new = target[j] - x[j]
+        q2 += s_new * s_new
+        q1 += s_new * c_new
+        q0 += c_new * c_new
+    if prev < 1.0:
+        consider(prev, 1.0)
+    return best_lam
+
+
+def ref_restricted_newton_target(a, y, pattern):
+    n, d = a.shape
+    parent = list(range(d))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for tie_set in pattern.tie_sets:
+        root = find(tie_set[0])
+        for k in tie_set[1:]:
+            parent[find(k)] = root
+    sel, x = pattern.selectors, pattern.x
+    increment_sum, increment_cnt = {}, {}
+    for i in range(n):
+        g = find(int(sel[i]))
+        increment_sum[g] = increment_sum.get(g, 0.0) + float(y[i] - a[i, sel[i]] - x[sel[i]])
+        increment_cnt[g] = increment_cnt.get(g, 0) + 1
+    delta = np.zeros(d)
+    for k in range(d):
+        g = find(k)
+        if g in increment_cnt:
+            delta[k] = increment_sum[g] / increment_cnt[g]
+    return x + delta
+
+
+def seeded_instances(seed, count):
+    """Normal and integer regression instances, d = 1..6, with inf entries.
+
+    Integer instances have integer x and target, so exact ties in
+    intercepts, slopes and crossings are common.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n, d = int(rng.integers(1, 9)), 1 + k % 6
+        if k % 2:
+            a = rng.integers(-4, 5, size=(n, d)).astype(float)
+            y = rng.integers(-4, 5, size=n).astype(float)
+            x = rng.integers(-3, 4, size=d).astype(float)
+            target = x + rng.integers(-3, 4, size=d)
+        else:
+            a = rng.normal(size=(n, d)) * 2
+            y = rng.normal(size=n) * 2
+            x = rng.normal(size=d)
+            target = x + rng.normal(size=d)
+        keep = rng.integers(0, d, size=n)
+        a[(rng.random(size=a.shape) < 0.25) & (np.arange(d) != keep[:, None])] = INF
+        yield a, y, x, target
+
+
+def test_segment_events_match_hull_reference():
+    for a, _, x, target in seeded_instances(30, 1200):
+        active, events = reg._segment_events(a, x, target)
+        ref_active, ref_events = ref_segment_events(a, x, target)
+        assert np.array_equal(active, ref_active)
+        assert [tuple(e) for e in events] == ref_events
+
+
+def test_line_search_matches_event_loop_reference():
+    for a, y, x, target in seeded_instances(31, 1200):
+        ta = TropicalMatrix(a)
+        lam = reg._exact_line_search(a, y, x, target)
+        ref_lam = ref_exact_line_search(a, y, x, target)
+        assert 0.0 <= lam <= 1.0
+        found = reg.residual_sq(ta, y, x + lam * (target - x))
+        expected = reg.residual_sq(ta, y, x + ref_lam * (target - x))
+        # exact fits end near zero, where a one-ulp move of lam is all that differs
+        floor = 1e-12 * reg.residual_sq(ta, y, x)
+        assert found == pytest.approx(expected, rel=1e-12, abs=floor)
+
+
+def test_restricted_target_matches_union_find_reference():
+    tied = 0
+    for a, y, x, _ in seeded_instances(32, 1200):
+        ta = TropicalMatrix(a)
+        pattern = active_pattern(ta, x)
+        if pattern.tied_rows:
+            tied += 1
+            expected = ref_restricted_newton_target(a, y, pattern)
+            assert np.array_equal(restricted_newton_target(ta, y, pattern), expected)
+    assert tied > 200
+
+
+def test_restricted_target_merges_transitive_tie_chain():
+    # row 0 ties columns {0, 1} and row 1 ties {1, 2}: all three columns
+    # form one group and move by one common increment; column 3 moves alone
+    a = np.array([[0.0, 0.0, 9.0, 9.0], [9.0, 0.0, 0.0, 9.0], [9.0, 9.0, 1.0, 9.0], [9.0, 9.0, 9.0, 0.0]])
+    y = np.array([1.0, 2.0, 6.0, 5.0])
+    x = np.zeros(4)
+    ta = TropicalMatrix(a)
+    pattern = active_pattern(ta, x)
+    assert pattern.tie_sets == ((0, 1), (1, 2))
+    target = restricted_newton_target(ta, y, pattern)
+    # rows 0, 1 and 2 select columns 0, 1 and 2: increments 1, 2 and 5
+    assert np.array_equal(target, [8 / 3, 8 / 3, 8 / 3, 5.0])
