@@ -58,7 +58,6 @@ from .regression import (
     chebyshev_regression,
     min_plus_apply,
     newton_directed_line_search,
-    newton_target,
     principal_solution,
     restricted_newton_target,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "mp_multiply",
     "mp_power",
     "newton_directed_line_search",
-    "newton_target",
     "nnmf",
     "nonsym_factorize",
     "oracle_min_path_fixed_length",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -98,8 +99,15 @@ def _load_input(args) -> tuple[Graph | None, TropicalMatrix | None]:
 
 
 def _apply_cap(matrix: TropicalMatrix, cap: float | None) -> TropicalMatrix:
+    """Replace inf entries with cap, which must bound every finite entry
+    and leave room for the sum of two entries."""
     if cap is None:
         return matrix
+    finite = matrix.data[np.isfinite(matrix.data)]
+    if finite.size and cap < finite.max():
+        raise UsageError(f"--cap {cap:g} is below the largest finite entry {finite.max():g}")
+    if math.isinf(2.0 * cap):
+        raise UsageError(f"--cap {cap:g} is too large: twice it overflows")
     data = matrix.data.copy()
     data[np.isinf(data)] = cap
     return TropicalMatrix(data)
@@ -138,6 +146,15 @@ def _sym_config(args, rank: int) -> SymFactorConfig:
         max_iter=args.max_iter,
         restarts=args.restarts,
         seed=args.seed,
+    )
+
+
+def _nonsym_config(args) -> NonsymFactorConfig:
+    return NonsymFactorConfig(
+        max_iter=args.max_iter,
+        restarts=args.restarts,
+        seed=args.seed,
+        gauss_seidel=getattr(args, "gauss_seidel", False),
     )
 
 
@@ -209,13 +226,7 @@ def _cmd_factor(args, out_dir: Path):
     if args.mode == "sym":
         pair = sym_factorize(matrix, _sym_config(args, args.rank))
     elif args.mode == "general":
-        cfg = NonsymFactorConfig(
-            max_iter=args.max_iter,
-            restarts=args.restarts,
-            seed=args.seed,
-            gauss_seidel=args.gauss_seidel,
-        )
-        pair = nonsym_factorize(matrix, args.rank, cfg)
+        pair = nonsym_factorize(matrix, args.rank, _nonsym_config(args))
     else:  # actual
         waypoints, pair = actual_waypoint_search(matrix, args.rank, budget=args.budget, seed=args.seed)
     record = _factor_record(args.mode, args.rank, pair, labels, waypoints)
@@ -277,7 +288,9 @@ def _pad_rank_init(prev_left: np.ndarray) -> np.ndarray:
     The constant exceeds every existing entry, so the padded column never
     attains a pairwise min and the padded product (hence residual) matches
     the previous rank exactly. This seeds the next rank at the previous
-    best, making the sweep non-increasing.
+    best, making the sweep non-increasing. A general pair pads A this way
+    and B through its transpose: the new term is then larger than every
+    sum a_ik + b_kj.
     """
     big = float(prev_left.max()) + 1.0
     return np.hstack([prev_left, np.full((prev_left.shape[0], 1), big)])
@@ -310,9 +323,11 @@ def _cmd_residual_curve(args, out_dir: Path):
             result = nnmf(data, m, iters=args.iters, seed=args.seed)
             rows.append((m, relative(result.residual_trace[-1])))
     elif args.method == "minplus-general":
+        prev = None
         for m in range(1, max_rank + 1):
-            cfg = NonsymFactorConfig(max_iter=args.max_iter, restarts=args.restarts, seed=args.seed)
-            pair = nonsym_factorize(matrix_for_rank, m, cfg)
+            extra = ((_pad_rank_init(prev[0]), _pad_rank_init(prev[1].T).T),) if prev is not None else ()
+            pair = nonsym_factorize(matrix_for_rank, m, _nonsym_config(args), extra_inits=extra)
+            prev = (pair.left.data, pair.right.data)
             rows.append((m, relative(pair.residual)))
     else:  # minplus-sym
         prev_left = None

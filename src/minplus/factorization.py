@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import TropicalMatrix, _data_of, _mp, frobenius_distance, is_idempotent
 from .errors import DomainError, ShapeError
-from .regression import RegressionConfig, chebyshev_regression, newton_directed_line_search
+from .regression import RegressionConfig, _chebyshev_shift, _newton_batch
 
 INFEASIBLE_HINT = "cap infinite entries first (the CLI exposes --cap for this)"
 
@@ -43,7 +43,13 @@ KMEANS_MAX_ITER = 50  # Lloyd iterations of the kmeans start
 
 @dataclass
 class FactorPair:
-    """A factorization M ≈ left (x) right with its achieved residual."""
+    """A factorization M ≈ left (x) right with its achieved residual.
+
+    iteration_trace belongs to the restart that won. For sym_factorize it
+    holds the best residual seen so far after each iteration, so it never
+    increases. For nonsym_factorize it holds the raw residual of the
+    current pair at the start and after each half-sweep, which can rise.
+    """
 
     left: TropicalMatrix
     right: TropicalMatrix
@@ -85,15 +91,13 @@ class NonsymFactorConfig:
 
     By default row sweeps over A use the B from the previous outer
     iteration; gauss_seidel=True uses the freshly updated B instead, which
-    makes every half-sweep non-increasing. init optionally supplies
-    (A0, B0) arrays for the first restart in place of the kmeans start.
+    makes every half-sweep non-increasing.
     """
 
     max_iter: int = 100
     restarts: int = 1
     seed: int = 0
     gauss_seidel: bool = False
-    init: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _check_symmetric_distance(D: TropicalMatrix) -> np.ndarray:
@@ -421,15 +425,33 @@ def _kmeans_columns(m_data: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers.T
 
 
-def nonsym_factorize(M: TropicalMatrix, m: int, cfg: NonsymFactorConfig | None = None) -> FactorPair:
+def _kmeans_start(m_data: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """A from kmeans centers of M's columns, B from every column's sup-norm
+    solution against that A, all columns in one array expression."""
+    a = _kmeans_columns(m_data, k, rng)
+    mt = m_data.T
+    xhat = (mt[:, :, None] - a).max(axis=1)  # principal solutions, one row per column of M
+    return a, _chebyshev_shift(a, mt, xhat).T
+
+
+def nonsym_factorize(
+    M: TropicalMatrix,
+    m: int,
+    cfg: NonsymFactorConfig | None = None,
+    extra_inits: tuple[tuple[np.ndarray, np.ndarray], ...] = (),
+) -> FactorPair:
     """General factorization M ≈ A (x) B by alternating regression.
 
-    A starts from kmeans centers of M's columns; B starts from the
-    sup-norm solutions against that A. Then columns of B and rows of A are
-    refined in turn by the 2-norm solver, warm-started at their previous
-    values; by default the row sweep regresses against the previous outer
-    iteration's B. The best pair ever seen (initialization included) is
-    returned, so the residual never exceeds the initialization's.
+    Each restart starts A from kmeans centers of M's columns and B from
+    the sup-norm solutions against that A. extra_inits supplies further
+    (A0, B0) starts, run after the restarts (used by the rank-sweep CLI
+    to warm-start from the previous rank). Then columns of B and rows of A
+    are refined in turn by the 2-norm solver, warm-started at their
+    previous values; by default the row sweep regresses against the
+    previous outer iteration's B. Each half-sweep's problems share one
+    design matrix (A, or B^T) and run as one batch. The best pair ever
+    seen (initialization included) is returned, so the residual never
+    exceeds any start's; ties keep the earliest start.
     """
     cfg = cfg or NonsymFactorConfig()
     m_mat = _data_of(M)
@@ -439,49 +461,40 @@ def nonsym_factorize(M: TropicalMatrix, m: int, cfg: NonsymFactorConfig | None =
     if not (1 <= m <= min(n, d_cols)):
         raise ValueError(f"rank must lie in 1..{min(n, d_cols)}")
     inner_cfg = RegressionConfig(max_iter=INNER_MAX_ITER)
-    best: tuple[float, np.ndarray, np.ndarray, list[float]] | None = None
-    runs = 0
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        if cfg.init is not None and r == 0:
-            a = np.asarray(cfg.init[0], dtype=float).copy()
-            b = np.asarray(cfg.init[1], dtype=float).copy()
+
+    def starts():
+        for r in range(cfg.restarts):
+            yield _kmeans_start(m_mat, m, np.random.default_rng([cfg.seed, r]))
+        for a0, b0 in extra_inits:
+            a, b = np.asarray(a0, dtype=float), np.asarray(b0, dtype=float)
             if a.shape != (n, m) or b.shape != (m, d_cols):
                 raise ShapeError(
-                    f"init shapes {a.shape}, {b.shape} do not match ({n},{m}), ({m},{d_cols})"
+                    f"extra init shapes {a.shape}, {b.shape} do not match ({n},{m}), ({m},{d_cols})"
                 )
             if not (np.isfinite(a).all() and np.isfinite(b).all()):
-                raise DomainError("init factors must be finite")
-        else:
-            a = _kmeans_columns(m_mat, m, rng)
-            b = np.empty((m, d_cols))
-            a_trop = TropicalMatrix(a)
-            for j in range(d_cols):
-                b[:, j] = chebyshev_regression(a_trop, m_mat[:, j]).solution
+                raise DomainError("extra inits must be finite")
+            yield a, b
+
+    best: tuple[float, np.ndarray, np.ndarray, list[float]] | None = None
+    runs = 0
+    mt = m_mat.T  # the column half-sweep's right-hand sides, one per row
+    for a, b in starts():  # the half-sweeps return new arrays, so no pair is changed in place
         res = float(np.sqrt(np.sum((m_mat - _mp(a, b)) ** 2)))
         trace = [res]
-        run_best = (res, a.copy(), b.copy())
+        run_best = (res, a, b)
         for _ in range(cfg.max_iter):
-            a_prev, b_prev = a.copy(), b.copy()
-            a_trop = TropicalMatrix(a)
-            for j in range(d_cols):
-                b[:, j] = newton_directed_line_search(
-                    a_trop, m_mat[:, j], x0=b[:, j], cfg=inner_cfg
-                ).solution
+            a_prev, b_prev = a, b
+            b = _newton_batch(a, mt, b.T, inner_cfg)[0].T
             res = float(np.sqrt(np.sum((m_mat - _mp(a, b)) ** 2)))
             trace.append(res)
             if res < run_best[0]:
-                run_best = (res, a.copy(), b.copy())
+                run_best = (res, a, b)
             b_for_rows = b if cfg.gauss_seidel else b_prev
-            bt_trop = TropicalMatrix(b_for_rows.T)
-            for i in range(n):
-                a[i, :] = newton_directed_line_search(
-                    bt_trop, m_mat[i, :], x0=a[i, :], cfg=inner_cfg
-                ).solution
+            a = _newton_batch(b_for_rows.T, m_mat, a, inner_cfg)[0]
             res = float(np.sqrt(np.sum((m_mat - _mp(a, b)) ** 2)))
             trace.append(res)
             if res < run_best[0]:
-                run_best = (res, a.copy(), b.copy())
+                run_best = (res, a, b)
             change = max(
                 float(np.max(np.abs(a - a_prev), initial=0.0)),
                 float(np.max(np.abs(b - b_prev), initial=0.0)),

@@ -8,6 +8,7 @@ min_j(a_ij + x_j), so the domain splits into polyhedral pieces separated
 by the tie surface where some row's argmin is not unique. The 2-norm
 solver repeatedly forms the piecewise Newton target and takes an exact
 line search toward it, which makes the residual non-increasing.
+Independent problems that share one design matrix run as one batch.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .core import INF, TropicalMatrix, _data_of
 from .errors import DomainError, UnboundedColumnError
 
 TIE_TOL = 1e-9
+BATCH_ELEMENTS = 2**16  # a batch block holds p*n*d <= max(Y.size, this) elements
 
 
 @dataclass
@@ -112,25 +114,17 @@ def chebyshev_regression(A: TropicalMatrix, y: np.ndarray) -> RegressionOutcome:
     if not np.isfinite(a).any(axis=1).all():
         i = int(np.argmin(np.isfinite(a).any(axis=1)))
         raise DomainError(f"row {i} has no finite entry; the sup-norm residual is always inf")
-    overshoot = min_plus_apply(A, xhat) - y  # >= 0, with min exactly attained
-    alpha = -float(overshoot.max()) / 2.0
-    solution = xhat + alpha
+    solution = _chebyshev_shift(a, y, xhat)
     residual = float(np.max(np.abs(min_plus_apply(A, solution) - y)))
-    return RegressionOutcome(
-        solution=solution,
-        residual_norm=residual,
-        norm_kind="inf",
-        iterations=0,
-        converged=True,
-        residual_trace=(residual,),
-    )
+    return RegressionOutcome(solution, residual, "inf", 0, True, (residual,))
 
 
-def residual_sq(A: TropicalMatrix, y: np.ndarray, x: np.ndarray) -> float:
-    """Squared 2-norm residual sum_i (min_j(a_ij + x_j) - y_i)^2."""
-    a = _data_of(A)
-    y = _check_rhs(a, y)
-    return float(np.sum((min_plus_apply(A, x) - y) ** 2))
+def _chebyshev_shift(a: np.ndarray, Y: np.ndarray, xhat: np.ndarray) -> np.ndarray:
+    """Least sup-norm optima, unvalidated: principal solutions xhat of one
+    right-hand side or a leading-axis stack Y, moved down by half their
+    worst overshoot."""
+    overshoot = (a + xhat[..., None, :]).min(axis=-1) - Y  # >= 0, with min exactly attained
+    return xhat + -overshoot.max(axis=-1, keepdims=True) / 2.0
 
 
 def active_pattern(A: TropicalMatrix, x: np.ndarray, tie_tol: float = TIE_TOL) -> ActivePattern:
@@ -146,137 +140,168 @@ def active_pattern(A: TropicalMatrix, x: np.ndarray, tie_tol: float = TIE_TOL) -
     return ActivePattern(x=x.copy(), selectors=selectors, near=near)
 
 
-def newton_target(A: TropicalMatrix, y: np.ndarray, pattern: ActivePattern) -> np.ndarray:
-    """Coordinatewise minimizer of the quadratic piece selected by pattern.
-
-    Coordinate k moves to the mean of (y_i - a_ik) over the rows selecting
-    k; a coordinate selected by no row is frozen at its current value.
-    """
-    a = _data_of(A)
-    y = _check_rhs(a, y)
-    n, d = a.shape
-    sel = pattern.selectors
-    counts = np.bincount(sel, minlength=d)
-    sums = np.bincount(sel, weights=y - a[np.arange(n), sel], minlength=d)
-    target = pattern.x.copy()
-    hit = counts > 0
-    target[hit] = sums[hit] / counts[hit]
-    return target
-
-
 def restricted_newton_target(A: TropicalMatrix, y: np.ndarray, pattern: ActivePattern) -> np.ndarray:
     """Newton target restricted to directions tangent to the tie surface.
 
-    Columns tied within a row must move by a common increment, otherwise
-    the step immediately leaves the quadratic piece. Tie groups are the
-    connected components of the rows' near-column sets, found by
-    propagating the smallest column label through pattern.near (at most d
-    rounds of O(n*d) each, so scratch memory is O(n*d)). Each group moves
-    by the mean increment y_i - a_ik - x_k over the rows selecting one of
-    its columns, summed in row order; groups selected by no row stay
-    frozen.
+    Columns tied within a row, transitively, form a group that moves by
+    one common increment, else the step leaves the quadratic piece: the
+    mean of y_i - a_ik - x_k over the rows selecting one of its columns,
+    summed in row order. Groups selected by no row stay frozen.
     """
     a = _data_of(A)
     y = _check_rhs(a, y)
-    n, d = a.shape
-    near, sel, x = pattern.near, pattern.selectors, pattern.x
-    labels = np.arange(d)
+    x, sel, near = pattern.x[None], pattern.selectors[None], pattern.near.T[:, None, :]
+    return _newton_targets(a, y[None], x, sel, near)[0]
+
+
+def _newton_targets(
+    a: np.ndarray, Y: np.ndarray, X: np.ndarray, sel: np.ndarray, near: np.ndarray
+) -> np.ndarray:
+    """Restricted Newton targets (p, d) of p problems against one design.
+
+    Y, X and sel hold one problem per row, near is (d, p, n) as in
+    _newton_batch. Labels propagate through near in at most d rounds, and
+    bincounts over problem*d + group sum each group's rows in row order.
+    """
+    d, p, n = near.shape
+    labels = np.broadcast_to(np.arange(d)[:, None], (d, p))
     while True:
-        row_label = np.where(near, labels, d).min(axis=1, initial=d)
-        merged = np.minimum(labels, np.where(near, row_label[:, None], d).min(axis=0, initial=d))
+        row_label = np.where(near, labels[:, :, None], d).min(axis=0)
+        merged = np.minimum(labels, np.where(near, row_label, d).min(axis=2, initial=d))
         if np.array_equal(merged, labels):
             break
         labels = merged
-    group = labels[sel]
-    sums = np.bincount(group, weights=y - a[np.arange(n), sel] - x[sel], minlength=d)
-    counts = np.bincount(group, minlength=d)
-    increment = np.divide(sums, counts, out=np.zeros(d), where=counts > 0)
-    return x + increment[labels]
+    problems = np.arange(p)[:, None]
+    group = (labels[sel, problems] + d * problems).ravel()
+    weights = Y - a[np.arange(n), sel] - X[problems, sel]
+    sums = np.bincount(group, weights=weights.ravel(), minlength=p * d)
+    counts = np.bincount(group, minlength=p * d)
+    increment = np.divide(sums, counts, out=np.zeros(p * d), where=counts > 0).reshape(p, d)
+    return X + increment[problems, labels.T]
 
 
-def _segment_events(a: np.ndarray, x: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Initial active columns and sorted selector-change breakpoints along
-    L(lam) = x + lam*(target - x).
+def _segment_events(values: np.ndarray, slopes: np.ndarray):
+    """Start columns and selector-change events of p problems along
+    x + lam*slopes, with values = a + x as in _newton_batch.
 
-    Row i's value along the segment is the lower envelope of the lines
-    (a_ij + x_j) + lam*(target_j - x_j) over its finite columns. Every row
-    starts on its line at lam = 0+: lowest intercept, then flattest slope,
-    then smallest index. All rows then walk their envelopes together: the
-    next line is the flatter line that crosses the current one first (ties:
-    flattest, then smallest index), and a crossing is clamped to the
-    previous breakpoint. Slopes fall strictly, so a row stops after at
-    most d rounds, each of O(n*d) work and scratch memory.
-
-    events is a structured array of (lam, row, col) triples, 0 < lam < 1,
-    sorted by lam, then row, then walk order; col is the row's new column.
+    Row i of problem k, numbered k*n + i, walks the lower envelope of its
+    lines values[j, k, i] + lam*slopes[k, j] from the lowest intercept at
+    lam = 0+ (ties: flattest, then smallest index). Each round moves every
+    row to the flatter line crossing its current one first (same ties),
+    clamped to the previous breakpoint: at most d rounds of O(p*n*d).
+    Events (lam, row, new column) have 0 < lam < 1 and are sorted by
+    problem, lam, row and walk order.
     """
-    slopes = target - x
-    order = np.argsort(slopes, kind="stable")  # flattest first, then smallest index
-    slopes, lines = slopes[order], (a + x)[:, order]
-    rows = np.arange(a.shape[0])
-    start = cur = lines.argmin(axis=1)
+    d, p, n = values.shape
+    order = np.argsort(slopes, axis=1, kind="stable")  # flattest first, then smallest index
+    problems = np.arange(p)[:, None]
+    lines = values.transpose(1, 0, 2)[problems, order].transpose(1, 0, 2).reshape(d, p * n)
+    line_slopes = np.repeat(slopes[problems, order].T, n, axis=1)
+    rows = np.arange(p * n)
+    start = cur = lines.argmin(axis=0)
     lam = np.zeros(rows.size)
     found = [(lam[:0], rows[:0], rows[:0])]
     while rows.size:
-        at, s = np.arange(rows.size), slopes[cur]
+        at = np.arange(rows.size)
+        s = line_slopes[cur, at]
         cross = np.divide(  # an infinite line's crossing stays infinite
-            lines - lines[at, cur][:, None],
-            s[:, None] - slopes,
-            out=np.full(lines.shape, INF),
-            where=slopes < s[:, None],
+            lines - lines[cur, at], s - line_slopes, out=np.full(lines.shape, INF), where=line_slopes < s
         )
-        nxt = cross.argmin(axis=1)
-        lam = np.maximum(cross[at, nxt], lam)
+        nxt = cross.argmin(axis=0)
+        lam = np.maximum(cross[nxt, at], lam)
         go = lam < 1.0
-        rows, cur, lam, lines = rows[go], nxt[go], lam[go], lines[go]
-        found.append((lam, rows, order[cur]))
+        rows, cur, lam, lines, line_slopes = rows[go], nxt[go], lam[go], lines[:, go], line_slopes[:, go]
+        found.append((lam, rows, order[rows // n, cur]))
     lams, event_rows, cols = (np.concatenate(part) for part in zip(*found))
-    events = np.empty(lams.size, dtype=[("lam", float), ("row", np.intp), ("col", np.intp)])
-    events["lam"], events["row"], events["col"] = lams, event_rows, cols
-    return order[start], events[np.lexsort((event_rows, lams))]
+    by = np.lexsort((event_rows, lams, event_rows // n))
+    return order[np.arange(p * n) // n, start], lams[by], event_rows[by], cols[by]
 
 
-def _exact_line_search(a: np.ndarray, y: np.ndarray, x: np.ndarray, target: np.ndarray) -> float:
-    """Exact minimizer lam in [0, 1] of the residual along x -> target.
+def _exact_line_search(values: np.ndarray, Y: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """Exact minimizer lam in [0, 1] of each problem's residual along
+    x + lam*slopes, with values and slopes as in _segment_events.
 
-    Each breakpoint swaps one row's coefficients (s^2, s*c, c^2) of
-    (c + s*lam)^2, so a cumulative sum of the swaps gives the aggregate
-    quadratic on every piece between breakpoints. All pieces are minimized
-    at once in closed form over both ends and the interior vertex;
-    zero-length pieces are skipped. The smallest value wins, and among
-    exact ties the larger lam, so a flat optimal stretch reports lam = 1.
-    Scratch memory is O(n*d).
+    Each event swaps one row's coefficients (s^2, s*c, c^2) of (c + s*lam)^2.
+    Problem k's swaps fill row k of a zero-padded table, whose cumulative
+    sum gives each piece's quadratic in that problem's own order. Pieces
+    are minimized at both ends and the interior vertex, skipping zero-length
+    ones; the smallest value wins, and on exact ties the larger lam.
     """
-    n = a.shape[0]
-    active, events = _segment_events(a, x, target)
-    rows, cols = events["row"], events["col"]
+    d, p, n = values.shape
+    active, lams, rows, cols = _segment_events(values, slopes)
     # the column each event leaves: its row's start column or previous event's column
     by_row = np.argsort(rows, kind="stable")  # each row's events in walk order
     same_row = rows[by_row[1:]] == rows[by_row[:-1]]
     prev = active[rows]
     prev[by_row[1:][same_row]] = cols[by_row[:-1][same_row]]
-    r = np.concatenate([np.arange(n), rows, rows])
+    r = np.concatenate([np.arange(p * n), rows, rows])
     j = np.concatenate([active, cols, prev])
-    s, c = (target - x)[j], (a + x - y[:, None])[r, j]
+    s, c = slopes[r // n, j], values.reshape(d, p * n)[j, r] - Y.ravel()[r]
     q = np.array([s * s, s * c, c * c])  # start rows, then new and old columns per event
-    k = rows.size
-    swaps = np.hstack([q[:, :n].sum(axis=1, keepdims=True), q[:, n : n + k] - q[:, n + k :]])
-    bounds = np.concatenate(([0.0], events["lam"], [1.0]))
-    lo, hi = bounds[:-1], bounds[1:]
-    keep = lo < hi
-    q2, q1, q0 = np.cumsum(swaps, axis=1)[:, keep]
-    lo, hi = lo[keep], hi[keep]
+    k, owner = rows.size, rows // n
+    counts = np.bincount(owner, minlength=p)
+    first = np.cumsum(counts + 1) - (counts + 1)  # flat index of each problem's first piece
+    pos = np.arange(k) + owner + 1  # flat index of the piece each event opens
+    swaps = np.zeros((3, p, counts.max(initial=0) + 1))
+    swaps[:, :, 0] = q[:, : p * n].reshape(3, p, n).sum(axis=2)
+    swaps[:, owner, pos - first[owner]] = q[:, p * n : p * n + k] - q[:, p * n + k :]
+    real = np.arange(swaps.shape[2]) <= counts[:, None]
+    q2, q1, q0 = np.cumsum(swaps, axis=2)[:, real]  # every problem's pieces, flat and in order
+    lo, hi = np.zeros(k + p), np.ones(k + p)
+    lo[pos], hi[pos - 1] = lams, lams
     vertex = np.divide(-q1, q2, out=lo.copy(), where=q2 > 0.0)
-    lams = np.stack([lo, hi, np.where((lo < vertex) & (vertex < hi), vertex, lo)])
-    vals = (q2 * lams + 2.0 * q1) * lams + q0
-    return float(lams[vals == vals.min()].max())
+    ends = np.stack([lo, hi, np.where((lo < vertex) & (vertex < hi), vertex, lo)])
+    vals = np.where(lo < hi, (q2 * ends + 2.0 * q1) * ends + q0, INF)
+    best = np.minimum.reduceat(vals.min(axis=0), first)
+    ties = np.where(vals == np.repeat(best, counts + 1), ends, -INF)
+    return np.maximum.reduceat(ties.max(axis=0), first)
+
+
+def _newton_batch(a: np.ndarray, Y: np.ndarray, X0: np.ndarray, cfg: RegressionConfig):
+    """newton_directed_line_search for the p problems (Y[k], X0[k]) against
+    one design a, unvalidated: solutions, iterations, converged, traces.
+
+    A block of problems holds p*n*d <= max(Y.size, BATCH_ELEMENTS) table
+    entries. Its table a + x is (d, p, n), one slab per column, so minima
+    over columns are elementwise; each iteration forms it once for the
+    residual, selectors and near ties. A problem leaves its block when its
+    own stop rule fires, so it takes exactly its one-problem steps.
+    """
+    (n, d), p = a.shape, Y.shape[0]
+    step = max(1, max(Y.size, BATCH_ELEMENTS) // max(n * d, 1))
+    X = np.array(X0, dtype=float)
+    iterations, converged = np.zeros(p, dtype=int), np.zeros(p, dtype=bool)
+    traces: list[list[float]] = [[] for _ in range(p)]
+    for first in range(0, p, step):
+        act = np.arange(first, min(first + step, p))
+        for it in range(cfg.max_iter + 1):
+            x = X[act]
+            values = a.T[:, None, :] + x.T[:, :, None]
+            row_min = values.min(axis=0)
+            res = np.sqrt(np.sum((row_min - Y[act]) ** 2, axis=1))
+            for k, r in zip(act.tolist(), res.tolist()):
+                traces[k].append(r)
+            stop = np.zeros(act.size, dtype=bool)
+            if it:  # after a step: the target itself was reached, or too little decrease
+                stop = (lam == 1.0) | (prev - res < cfg.tol * np.maximum(prev, 1.0))
+            if it == cfg.max_iter:
+                converged[act[stop]] = True
+                break
+            slopes = _newton_targets(a, Y[act], x, values.argmin(axis=0), values <= row_min + TIE_TOL) - x
+            stop |= np.abs(slopes).max(axis=1) == 0.0  # stationary: the target is the current point
+            converged[act[stop]] = True
+            go = ~stop
+            act, x, slopes, prev = act[go], x[go], slopes[go], res[go]
+            if not act.size:
+                break
+            lam = _exact_line_search(values[:, go], Y[act], slopes)
+            X[act] = x + lam[:, None] * slopes
+            iterations[act] += 1
+    return X, iterations, converged, traces
 
 
 def newton_directed_line_search(
-    A: TropicalMatrix,
-    y: np.ndarray,
-    x0: np.ndarray | None = None,
-    cfg: RegressionConfig | None = None,
+    A: TropicalMatrix, y: np.ndarray, x0: np.ndarray | None = None, cfg: RegressionConfig | None = None
 ) -> RegressionOutcome:
     """Local 2-norm minimizer by Newton targets plus exact line searches.
 
@@ -285,6 +310,7 @@ def newton_directed_line_search(
     when lam = 1 is optimal (the target itself was reached), when the
     relative residual decrease falls below cfg.tol, or at cfg.max_iter
     with converged=False. The default start is the sup-norm solution.
+    Runs as the one-problem case of the batched engine.
     """
     cfg = cfg or RegressionConfig()
     a = _data_of(A)
@@ -300,31 +326,5 @@ def newton_directed_line_search(
             raise DomainError(f"x0 length {x.shape} does not match {a.shape[1]} columns")
         if not np.isfinite(x).all():
             raise DomainError("x0 must be finite")
-
-    trace = [float(np.sqrt(residual_sq(A, y, x)))]
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iter):
-        pattern = active_pattern(A, x)
-        target = restricted_newton_target(A, y, pattern)
-        if float(np.max(np.abs(target - x))) == 0.0:
-            converged = True  # stationary: the target is the current point
-            break
-        lam = _exact_line_search(a, y, x, target)
-        x = x + lam * (target - x)
-        iterations += 1
-        trace.append(float(np.sqrt(residual_sq(A, y, x))))
-        if lam == 1.0:
-            converged = True
-            break
-        if trace[-2] - trace[-1] < cfg.tol * max(trace[-2], 1.0):
-            converged = True
-            break
-    return RegressionOutcome(
-        solution=x,
-        residual_norm=trace[-1],
-        norm_kind="2",
-        iterations=iterations,
-        converged=converged,
-        residual_trace=tuple(trace),
-    )
+    (x,), (iterations,), (converged,), (trace,) = _newton_batch(a, y[None], x[None], cfg)
+    return RegressionOutcome(x, trace[-1], "2", int(iterations), bool(converged), tuple(trace))

@@ -3,6 +3,8 @@
 import json
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,10 @@ from minplus import read_matrix_csv
 from minplus.cli import main
 
 from conftest import EXAMPLE_EDGES, EXAMPLE_D, EXAMPLE_F
+
+# bench/gen.py --workload general-factor-62 --seed 2 --index 0: 62 nodes,
+# 140 edges with integer weights 1..9
+GENERAL_62 = Path(__file__).parent / "data" / "general62_seed2.edges"
 
 GML_SQUARE = """
 graph [
@@ -293,6 +299,19 @@ def test_residual_curve_sym_monotone_and_exact_at_full_rank(edges_file, tmp_path
     assert values[-1] == 0.0
 
 
+def test_residual_curve_general_never_rises(tmp_path):
+    # with a cold start at every rank this curve rose from 0.19442 at rank
+    # 4 to 0.19635 at rank 5; the previous rank's padded pair now also runs
+    argv = [
+        "residual-curve", "--input", str(GENERAL_62), "--method", "minplus-general",
+        "--max-rank", "8", "--max-iter", "3", "--restarts", "1", "--out-dir", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    values = np.loadtxt(tmp_path / "curve.csv", delimiter=",", skiprows=1)[:, 1]
+    assert values.shape == (8,)
+    assert (np.diff(values) <= 0.0).all()
+
+
 def test_residual_curve_svd_rank_limited(tmp_path):
     rng = np.random.default_rng(50)
     left = rng.normal(size=(6, 3))
@@ -444,7 +463,7 @@ def test_nonfinite_result_exits_4_without_json(tmp_path):
     src.write_text("a b 1\nc d 2\n")
     out = tmp_path / "run"
     argv = [
-        "factor", "--input", str(src), "--rank", "1", "--cap", "1e308",
+        "factor", "--input", str(src), "--rank", "1", "--cap", "1e300",
         "--restarts", "2", "--max-iter", "5", "--out-dir", str(out),
     ]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -458,7 +477,7 @@ def test_nonfinite_residual_curve_exits_4_without_files(tmp_path, method):
     src.write_text("a b 1\nb c 1\nd e 2\n")
     out = tmp_path / "run"
     argv = [
-        "residual-curve", "--method", method, "--input", str(src), "--cap", "1e308",
+        "residual-curve", "--method", method, "--input", str(src), "--cap", "1e300",
         "--restarts", "2", "--max-iter", "5", "--out-dir", str(out),
     ]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -477,3 +496,22 @@ def test_module_entry_point(edges_file, tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "spd.csv").exists()
+
+
+@pytest.mark.parametrize("cap", ["0.5", "1e308"])  # below the largest distance 2; 2*cap overflows
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["factor", "--mode", "sym", "--rank", "1"],
+        ["baseline", "--method", "svd", "--rank", "1"],
+        ["residual-curve", "--method", "minplus-sym"],
+    ],
+)
+def test_cap_out_of_range_exits_2_before_work(tmp_path, command, cap):
+    src = tmp_path / "two.edges"
+    src.write_text("a b 1\nb c 1\nd e 2\n")
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow and no idempotency warning: nothing ran
+        assert main(command + ["--input", str(src), "--cap", cap, "--out-dir", str(out)]) == 2
+    assert list(out.iterdir()) == []

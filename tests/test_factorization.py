@@ -16,6 +16,7 @@ from minplus import (
     TropicalMatrix,
     actual_waypoint,
     actual_waypoint_search,
+    chebyshev_regression,
     frobenius_distance,
     jacobi_map,
     kleene_star,
@@ -26,7 +27,8 @@ from minplus import (
 )
 
 from minplus.core import _mp
-from minplus.factorization import _sym_product
+from minplus.factorization import INNER_MAX_ITER, _kmeans_start, _sym_product
+from minplus.regression import RegressionConfig, _newton_batch
 
 from conftest import random_nonneg_graph_matrix
 
@@ -348,9 +350,49 @@ def test_nonsym_exact_recovery_from_true_init():
     a0 = rng.integers(0, 8, size=(5, 2)).astype(float)
     b0 = rng.integers(0, 8, size=(2, 6)).astype(float)
     m = np.min(a0[:, :, None] + b0[None, :, :], axis=1)
-    cfg = NonsymFactorConfig(max_iter=20, init=(a0, b0))
-    pair = nonsym_factorize(m, 2, cfg)
+    cfg = NonsymFactorConfig(max_iter=20)
+    pair = nonsym_factorize(m, 2, cfg, extra_inits=((a0, b0),))
     assert pair.residual <= 1e-6
+
+
+def test_kmeans_start_matches_per_column_chebyshev():
+    # the batched sup-norm start of B equals one chebyshev_regression per
+    # column of M, bit for bit; integer data makes exact ties common
+    rng = np.random.default_rng(36)
+    for trial in range(24):
+        n, cols = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+        m = int(rng.integers(1, min(n, cols) + 1))
+        if trial % 2:
+            data = rng.integers(0, 9, size=(n, cols)).astype(float)
+        else:
+            data = rng.normal(size=(n, cols)) * 3
+        a, b = _kmeans_start(data, m, np.random.default_rng([trial]))
+        assert b.shape == (m, cols)
+        for j in range(cols):
+            expected = chebyshev_regression(TropicalMatrix(a), data[:, j]).solution
+            assert b[:, j].tobytes() == expected.tobytes()
+
+
+def test_nonsym_half_sweep_memory_is_quadratic():
+    n, m = 300, 20
+    rng = np.random.default_rng(301)
+    d = kleene_star(TropicalMatrix(random_nonneg_graph_matrix(rng, n, density=0.05))).data
+    a, b = _kmeans_start(d, m, np.random.default_rng([0, 0]))
+    tracemalloc.start()
+    try:
+        _newton_batch(a, d.T, b.T, RegressionConfig(max_iter=INNER_MAX_ITER))  # the column half-sweep
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n * 8  # blocks of p*n*m <= n*n table entries; unblocked, ~150x
+
+
+def test_nonsym_extra_inits_validation():
+    m = np.arange(12.0).reshape(3, 4)
+    with pytest.raises(ShapeError):
+        nonsym_factorize(m, 2, extra_inits=((np.zeros((3, 1)), np.zeros((1, 4))),))
+    with pytest.raises(DomainError):
+        nonsym_factorize(m, 1, extra_inits=((np.full((3, 1), INF), np.zeros((1, 4))),))
 
 
 def test_nonsym_never_worse_than_initialization(example_d):

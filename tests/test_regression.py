@@ -14,11 +14,43 @@ from minplus import (
     identity,
     min_plus_apply,
     newton_directed_line_search,
-    newton_target,
     principal_solution,
     restricted_newton_target,
 )
 from minplus import regression as reg
+
+
+def residual_sq(A, y, x):
+    """Squared 2-norm residual sum_i (min_j(a_ij + x_j) - y_i)^2."""
+    return float(np.sum((min_plus_apply(A, x) - y) ** 2))
+
+
+def newton_target(A, y, pattern):
+    """Test-only reference: the unrestricted Newton target, which ignores ties.
+
+    Coordinate k moves to the mean of (y_i - a_ik) over the rows selecting
+    k; a coordinate selected by no row is frozen at its current value.
+    """
+    a = A.data
+    n, d = a.shape
+    sel = pattern.selectors
+    counts = np.bincount(sel, minlength=d)
+    sums = np.bincount(sel, weights=y - a[np.arange(n), sel], minlength=d)
+    target = pattern.x.copy()
+    hit = counts > 0
+    target[hit] = sums[hit] / counts[hit]
+    return target
+
+
+def segment_events(a, x, target):
+    """One problem through the batched reg._segment_events: (start, events)."""
+    start, *events = reg._segment_events((a + x).T[:, None, :], (target - x)[None])
+    return start, list(zip(*(e.tolist() for e in events)))
+
+
+def exact_line_search(a, y, x, target):
+    """One problem through the batched reg._exact_line_search."""
+    return float(reg._exact_line_search((a + x).T[:, None, :], y[None], (target - x)[None])[0])
 
 
 def grid_best_inf_residual(a, y, lo, hi, step):
@@ -170,8 +202,8 @@ def test_optimal_set_is_tropically_convex(regress_instance):
 
 def test_residual_sq_example(regress_instance):
     a, y = regress_instance
-    assert reg.residual_sq(TropicalMatrix(a), y, np.array([0.5, 0.5])) == pytest.approx(0.75)
-    assert reg.residual_sq(identity(3), np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0])) == 0.0
+    assert residual_sq(TropicalMatrix(a), y, np.array([0.5, 0.5])) == pytest.approx(0.75)
+    assert residual_sq(identity(3), np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0])) == 0.0
 
 
 def test_active_pattern_selectors_and_ties(regress_instance):
@@ -228,10 +260,10 @@ def test_line_search_is_exact_against_dense_sampling():
         x = rng.normal(size=d)
         target = x + rng.normal(size=d)
         ta = TropicalMatrix(a)
-        lam = reg._exact_line_search(a, y, x, target)
-        found = reg.residual_sq(ta, y, x + lam * (target - x))
+        lam = exact_line_search(a, y, x, target)
+        found = residual_sq(ta, y, x + lam * (target - x))
         grid = np.linspace(0.0, 1.0, 2001)
-        sampled = min(reg.residual_sq(ta, y, x + t * (target - x)) for t in grid)
+        sampled = min(residual_sq(ta, y, x + t * (target - x)) for t in grid)
         assert found <= sampled + 1e-9
 
 
@@ -244,7 +276,7 @@ def test_breakpoints_partition_selector_patterns():
         y = rng.normal(size=n)
         x = rng.normal(size=d)
         target = x + rng.normal(size=d)
-        active, events = reg._segment_events(a, x, target)
+        active, events = segment_events(a, x, target)
         cuts = [0.0] + sorted({lam for lam, _, _ in events}) + [1.0]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             if hi - lo < 1e-12:
@@ -261,6 +293,18 @@ def test_breakpoints_partition_selector_patterns():
                     v2[np.arange(n), argmins], v2.min(axis=1), atol=1e-9
                 )
         del active, sel_vals
+
+
+def test_line_search_flat_optimum_reports_lam_one():
+    # only the unselected column moves, so the residual is flat along the
+    # whole segment: exact ties go to the larger lam, which ends the solve
+    a = np.array([[0.0, 5.0], [1.0, 6.0]])
+    y, x = np.array([0.0, 2.0]), np.zeros(2)
+    assert exact_line_search(a, y, x, np.array([0.0, 1.0])) == 1.0
+    values = (a + x).T[:, None, :].repeat(2, axis=1)  # the same row in a batch of two
+    slopes = np.array([[0.0, 1.0], [0.5, 0.5]])
+    lams = reg._exact_line_search(values, np.stack([y, y]), slopes)
+    assert lams[0] == 1.0 and lams[1] == exact_line_search(a, y, x, x + slopes[1])
 
 
 def test_line_search_descends(regress_instance):
@@ -290,7 +334,7 @@ def test_line_search_single_column_matches_grid():
         ta = TropicalMatrix(a)
         out = newton_directed_line_search(ta, y)
         xs = np.arange(-8.0, 8.0, 1e-3)
-        best = min(reg.residual_sq(ta, y, np.array([v])) for v in xs)
+        best = float((((a.T + xs[:, None]) - y) ** 2).sum(axis=1).min())  # residual_sq at every grid point
         assert out.residual_norm**2 <= best + 1e-5
 
 
@@ -459,7 +503,7 @@ def seeded_instances(seed, count):
 
 def test_segment_events_match_hull_reference():
     for a, _, x, target in seeded_instances(30, 1200):
-        active, events = reg._segment_events(a, x, target)
+        active, events = segment_events(a, x, target)
         ref_active, ref_events = ref_segment_events(a, x, target)
         assert np.array_equal(active, ref_active)
         assert [tuple(e) for e in events] == ref_events
@@ -468,13 +512,13 @@ def test_segment_events_match_hull_reference():
 def test_line_search_matches_event_loop_reference():
     for a, y, x, target in seeded_instances(31, 1200):
         ta = TropicalMatrix(a)
-        lam = reg._exact_line_search(a, y, x, target)
+        lam = exact_line_search(a, y, x, target)
         ref_lam = ref_exact_line_search(a, y, x, target)
         assert 0.0 <= lam <= 1.0
-        found = reg.residual_sq(ta, y, x + lam * (target - x))
-        expected = reg.residual_sq(ta, y, x + ref_lam * (target - x))
+        found = residual_sq(ta, y, x + lam * (target - x))
+        expected = residual_sq(ta, y, x + ref_lam * (target - x))
         # exact fits end near zero, where a one-ulp move of lam is all that differs
-        floor = 1e-12 * reg.residual_sq(ta, y, x)
+        floor = 1e-12 * residual_sq(ta, y, x)
         assert found == pytest.approx(expected, rel=1e-12, abs=floor)
 
 
@@ -502,3 +546,60 @@ def test_restricted_target_merges_transitive_tie_chain():
     target = restricted_newton_target(ta, y, pattern)
     # rows 0, 1 and 2 select columns 0, 1 and 2: increments 1, 2 and 5
     assert np.array_equal(target, [8 / 3, 8 / 3, 8 / 3, 5.0])
+
+
+def ref_newton_loop(a, y, x, cfg):
+    """The one-problem iteration the batched engine replaced, from public pieces."""
+    ta = TropicalMatrix(a)
+    trace = [float(np.sqrt(residual_sq(ta, y, x)))]
+    converged, iterations = False, 0
+    for _ in range(cfg.max_iter):
+        target = restricted_newton_target(ta, y, active_pattern(ta, x))
+        if float(np.max(np.abs(target - x))) == 0.0:
+            converged = True  # stationary
+            break
+        lam = exact_line_search(a, y, x, target)
+        x = x + lam * (target - x)
+        iterations += 1
+        trace.append(float(np.sqrt(residual_sq(ta, y, x))))
+        if lam == 1.0 or trace[-2] - trace[-1] < cfg.tol * max(trace[-2], 1.0):
+            converged = True
+            break
+    return x, iterations, converged, tuple(trace)
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_newton_batch_matches_one_problem_path(block, monkeypatch):
+    # p problems in one batch take exactly the steps each takes alone: the
+    # same solutions bit for bit, iterations, converged flags and traces.
+    # max_iter = 1 and tol = 1e-3 mix stop reasons within a batch, and a
+    # block budget of 64 entries splits every batch into several blocks.
+    if block is not None:
+        monkeypatch.setattr(reg, "BATCH_ELEMENTS", block)
+    rng = np.random.default_rng(41)
+    mixed = 0
+    for trial in range(30):
+        n, d, p = int(rng.integers(1, 9)), 1 + trial % 6, int(rng.integers(1, 41))
+        if trial % 2:
+            a = rng.integers(-4, 5, size=(n, d)).astype(float)
+            Y = rng.integers(-4, 5, size=(p, n)).astype(float)
+            X0 = rng.integers(-3, 4, size=(p, d)).astype(float)
+        else:
+            a = rng.normal(size=(n, d)) * 2
+            Y = rng.normal(size=(p, n)) * 2
+            X0 = rng.normal(size=(p, d))
+        keep = rng.integers(0, d, size=n)
+        a[(rng.random(size=a.shape) < 0.25) & (np.arange(d) != keep[:, None])] = INF
+        cfg = RegressionConfig(max_iter=(1, 2, 500)[trial % 3], tol=float(rng.choice([0.0, 1e-10, 1e-3])))
+        X, iterations, converged, traces = reg._newton_batch(a, Y, X0, cfg)
+        for k in range(p):
+            one = newton_directed_line_search(TropicalMatrix(a), Y[k], x0=X0[k], cfg=cfg)
+            assert X[k].tobytes() == one.solution.tobytes()
+            assert (iterations[k], converged[k]) == (one.iterations, one.converged)
+            assert tuple(traces[k]) == one.residual_trace
+            if k < 2:
+                x, its, conv, trace = ref_newton_loop(a, Y[k], X0[k], cfg)
+                assert x.tobytes() == one.solution.tobytes()
+                assert (its, conv, trace) == (one.iterations, one.converged, one.residual_trace)
+        mixed += len(set(zip(iterations.tolist(), converged.tolist()))) > 1
+    assert mixed >= 15
