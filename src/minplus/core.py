@@ -22,10 +22,11 @@ class TropicalMatrix:
     """Immutable dense n x m matrix with entries in R or +inf.
 
     Wraps a read-only float64 array. Use ``.data`` for raw access; all
-    semiring operations live in module-level functions.
+    semiring operations live in module-level functions. ``_idempotent``
+    caches whether A (x) A = A is known (True/False) or unchecked (None).
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_idempotent")
 
     def __init__(self, entries) -> None:
         data = np.array(entries, dtype=float)
@@ -37,6 +38,7 @@ class TropicalMatrix:
             raise DomainError("-inf entries are not representable")
         data.setflags(write=False)
         self._data = data
+        self._idempotent = None
 
     @property
     def data(self) -> np.ndarray:
@@ -150,7 +152,9 @@ def kleene_star(A: TropicalMatrix, max_power: int | None = None) -> TropicalMatr
         np.minimum(d, via_k, out=d)
     if (np.diag(d) < 0).any():
         raise NegativeCycleError("matrix contains a negative-weight cycle; the closure diverges")
-    return TropicalMatrix(d)
+    closure = TropicalMatrix(d)
+    closure._idempotent = True  # a closure without negative cycles is idempotent
+    return closure
 
 
 def _entries_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
@@ -226,5 +230,6 @@ def read_matrix_csv(text: str) -> TropicalMatrix:
 def write_matrix_csv(M: TropicalMatrix) -> str:
     """Render to the matrix CSV format; inverse of read_matrix_csv."""
     data = _data_of(M)
-    lines = [",".join(format(v, CSV_FLOAT_FORMAT) for v in row) for row in data]
+    row_template = ",".join(["%" + CSV_FLOAT_FORMAT] * data.shape[1])  # "%" formats like format()
+    lines = [row_template % tuple(row.tolist()) for row in data]
     return "\n".join(lines) + ("\n" if lines else "")

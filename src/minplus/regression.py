@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import INF, TropicalMatrix, _data_of
+from .core import INF, TropicalMatrix, _data_of, _mp
 from .errors import DomainError, UnboundedColumnError
 
 TIE_TOL = 1e-9
@@ -122,8 +122,9 @@ def chebyshev_regression(A: TropicalMatrix, y: np.ndarray) -> RegressionOutcome:
 def _chebyshev_shift(a: np.ndarray, Y: np.ndarray, xhat: np.ndarray) -> np.ndarray:
     """Least sup-norm optima, unvalidated: principal solutions xhat of one
     right-hand side or a leading-axis stack Y, moved down by half their
-    worst overshoot."""
-    overshoot = (a + xhat[..., None, :]).min(axis=-1) - Y  # >= 0, with min exactly attained
+    worst overshoot. A (x) xhat is one min-plus product over all of them."""
+    lowest = _mp(xhat.reshape(-1, a.shape[1]), a.T).reshape(Y.shape)
+    overshoot = lowest - Y  # >= 0, with min exactly attained
     return xhat + -overshoot.max(axis=-1, keepdims=True) / 2.0
 
 

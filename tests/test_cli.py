@@ -299,6 +299,31 @@ def test_residual_curve_sym_monotone_and_exact_at_full_rank(edges_file, tmp_path
     assert values[-1] == 0.0
 
 
+def test_residual_curve_checks_idempotency_once(tmp_path, monkeypatch):
+    import minplus.factorization as factorization
+
+    calls = []
+    check = factorization.is_idempotent
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(factorization, "is_idempotent", counting)
+    src = tmp_path / "d.csv"
+    src.write_text("\n".join(",".join(f"{v:g}" for v in row) for row in EXAMPLE_D) + "\n")
+    argv = [
+        "residual-curve", "--method", "minplus-sym", "--max-rank", "4", "--restarts", "1",
+        "--max-iter", "3",
+    ]
+    assert main([*argv, "--input", str(src), "--out-dir", str(tmp_path / "csv")]) == 0
+    assert len(calls) == 1  # one matrix-CSV input, four ranks
+    graph = tmp_path / "g.edges"
+    graph.write_text(EXAMPLE_EDGES)
+    assert main([*argv, "--input", str(graph), "--out-dir", str(tmp_path / "graph")]) == 0
+    assert len(calls) == 1  # a closure is idempotent by construction
+
+
 def test_residual_curve_general_never_rises(tmp_path):
     # with a cold start at every rank this curve rose from 0.19442 at rank
     # 4 to 0.19635 at rank 5; the previous rank's padded pair now also runs

@@ -250,6 +250,24 @@ def test_csv_round_trip_exact():
         assert np.array_equal(back.data, m.data)
 
 
+def test_csv_writer_matches_per_value_format():
+    def ref_write(data):
+        lines = [",".join(format(v, ".17g") for v in row) for row in data]
+        return "\n".join(lines) + ("\n" if lines else "")
+
+    rng = np.random.default_rng(6)
+    random = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, size=(7, 5))
+    cases = [
+        np.array([[-1.5, -0.0, 0.0, INF], [1e-300, 1e300, -1e-300, -1e300], [0.1, 1 / 3, 5e-324, 2.0**53]]),
+        random,
+        np.empty((3, 0)),
+        np.empty((0, 0)),
+        np.array([[INF]]),
+    ]
+    for data in cases:
+        assert write_matrix_csv(TropicalMatrix(data)) == ref_write(data)
+
+
 def test_csv_reads_inf_token_any_case():
     m = read_matrix_csv("0,INF\nInf,1\n")
     assert m.data[0, 1] == INF and m.data[1, 0] == INF

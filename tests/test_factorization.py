@@ -1,6 +1,7 @@
 """Waypoint selection, Jacobi updates, and the two factorization drivers."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,11 +27,19 @@ from minplus import (
     sym_factorize,
 )
 
+import minplus.factorization as factorization
 from minplus.core import _mp
-from minplus.factorization import INNER_MAX_ITER, _kmeans_start, _sym_product
+from minplus.factorization import INNER_MAX_ITER, _kmeans_start, _sym_product, _waypoint_product
 from minplus.regression import RegressionConfig, _newton_batch
 
 from conftest import random_nonneg_graph_matrix
+
+
+@pytest.fixture(scope="module")
+def closure300():
+    """Shortest-path matrix of a sparse 300-node graph, for memory tests."""
+    rng = np.random.default_rng(301)
+    return kleene_star(TropicalMatrix(random_nonneg_graph_matrix(rng, 300, density=0.05)))
 
 
 def random_distance_matrix(rng, n):
@@ -132,6 +141,118 @@ def test_actual_waypoint_search_sampled_budget(example_d):
     assert pair.restarts_used == 5
     exhaustive = actual_waypoint_search(example_d, 3)[1]
     assert pair.residual >= exhaustive.residual - 1e-12
+
+
+def ref_waypoint_search(d, m, budget, seed):
+    """The unpruned search: score every candidate in full, keep the best."""
+    n = d.shape[0]
+    if math.comb(n, m) <= budget:
+        candidates = itertools.combinations(range(n), m)
+    else:
+        rng = np.random.default_rng([seed])
+        candidates = (
+            tuple(int(w) for w in np.sort(rng.choice(n, size=m, replace=False)))
+            for _ in range(budget)
+        )
+    best_w, best_left, best_res = None, None, np.inf
+    for w in candidates:
+        left, res = _waypoint_product(d, tuple(w))
+        if res < best_res or (res == best_res and (best_w is None or tuple(w) < best_w)):
+            best_w, best_left, best_res = tuple(w), left, res
+    return best_w, best_left, best_res
+
+
+def test_pruned_search_matches_unpruned_reference():
+    # W, residual bits and factors equal the full search: integer weights
+    # 1..2 tie often, so the lexicographic rule decides; real weights do
+    # not. Above SEARCH_TILE_ROWS nodes a candidate can drop mid-matrix.
+    rng = np.random.default_rng(37)
+    exhaustive = sampled = 0
+    for trial in range(16):
+        n = int(rng.integers(6, 12)) if trial % 8 else int(rng.integers(65, 80))
+        d = kleene_star(TropicalMatrix(random_nonneg_graph_matrix(rng, n, density=0.3, high=2))).data
+        if np.isinf(d).any():
+            continue
+        if trial % 2:
+            d = d * (0.1 * math.pi)
+        for m in range(1, 6):
+            budget = 250 if (trial + m) % 2 else 20
+            if math.comb(n, m) <= budget:
+                exhaustive += 1
+            else:
+                sampled += 1
+            w, pair = actual_waypoint_search(d, m, budget=budget, seed=trial)
+            ref_w, ref_left, ref_res = ref_waypoint_search(d, m, budget, trial)
+            assert w == ref_w
+            assert pair.residual.hex() == ref_res.hex()
+            assert pair.left.data.tobytes() == ref_left.tobytes()
+            assert pair.right.data.tobytes() == ref_left.T.tobytes()
+    assert exhaustive >= 15 and sampled >= 15
+    # every set is exact on the zero matrix, so a sampled search must still
+    # return the smallest sampled set, not the first
+    zero = np.zeros((12, 12))
+    for m in range(1, 6):
+        w, pair = actual_waypoint_search(zero, m, budget=20, seed=m)
+        assert (w, pair.residual) == ref_waypoint_search(zero, m, 20, m)[::2]
+
+
+def test_actual_waypoint_search_rejects_budget_below_one(example_d):
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="budget"):
+            actual_waypoint_search(example_d, 2, budget=budget)
+
+
+def test_actual_waypoint_search_memory_is_quadratic(closure300):
+    n = closure300.rows
+    tracemalloc.start()
+    try:
+        actual_waypoint_search(closure300, 4, budget=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n * 8  # one scored product at a time, tiles of O(n) rows
+
+
+@pytest.mark.parametrize("as_matrix", [False, True])
+def test_waypoint_routines_warn_on_non_idempotent_input(as_matrix):
+    # the verdict is cached on a TropicalMatrix, but every call still warns
+    d = np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 1.0], [2.0, 1.0, 1.0]])
+    D = TropicalMatrix(d) if as_matrix else d
+    cfg = SymFactorConfig(rank=1, restarts=1, max_iter=2, seed=0)
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="not idempotent"):
+            actual_waypoint(D, [0])
+        with pytest.warns(UserWarning, match="not idempotent"):
+            actual_waypoint_search(D, 1)
+        with pytest.warns(UserWarning, match="not idempotent"):
+            sym_factorize(D, cfg)
+
+
+def test_closure_never_reaches_is_idempotent(example_d, monkeypatch):
+    calls = []
+    monkeypatch.setattr(factorization, "is_idempotent", lambda *args, **kw: calls.append(1))
+    closure = kleene_star(TropicalMatrix(example_d))
+    actual_waypoint(closure, [0, 1])
+    actual_waypoint_search(closure, 2)
+    sym_factorize(closure, SymFactorConfig(rank=2, restarts=1, max_iter=2))
+    assert calls == []
+
+
+def test_idempotency_checked_once_per_matrix(example_d, monkeypatch):
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return True
+
+    monkeypatch.setattr(factorization, "is_idempotent", counting)
+    D = TropicalMatrix(example_d)  # not a closure: unchecked until first use
+    for rank in (1, 2, 3):
+        sym_factorize(D, SymFactorConfig(rank=rank, restarts=1, max_iter=2))
+    actual_waypoint_search(D, 2)
+    assert len(calls) == 1
+    sym_factorize(example_d, SymFactorConfig(rank=1, restarts=1, max_iter=2))
+    assert len(calls) == 2  # a bare array has nowhere to keep the verdict
 
 
 def test_jacobi_map_single_entry():
@@ -373,10 +494,75 @@ def test_kmeans_start_matches_per_column_chebyshev():
             assert b[:, j].tobytes() == expected.tobytes()
 
 
-def test_nonsym_half_sweep_memory_is_quadratic():
-    n, m = 300, 20
-    rng = np.random.default_rng(301)
-    d = kleene_star(TropicalMatrix(random_nonneg_graph_matrix(rng, n, density=0.05))).data
+def ref_kmeans_start(m_data, k, rng):
+    """The kmeans start with its three (columns x k x n) broadcasts."""
+    points = m_data.T
+    count = points.shape[0]
+    first = int(rng.integers(count))
+    center_idx = [first]
+    d2 = np.sum((points - points[first]) ** 2, axis=1)
+    while len(center_idx) < k:
+        total = float(d2.sum())
+        nxt = int(rng.choice(count, p=d2 / total)) if total > 0.0 else int(rng.integers(count))
+        center_idx.append(nxt)
+        d2 = np.minimum(d2, np.sum((points - points[nxt]) ** 2, axis=1))
+    centers = points[center_idx].astype(float).copy()
+    assign = None
+    for _ in range(factorization.KMEANS_MAX_ITER):
+        dist = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_assign = dist.argmin(axis=1)
+        to_center = dist[np.arange(count), new_assign].copy()
+        for c in range(k):
+            if not (new_assign == c).any():
+                farthest = int(to_center.argmax())
+                centers[c] = points[farthest]
+                new_assign[farthest] = c
+                to_center[farthest] = -1.0
+        if assign is not None and (new_assign == assign).all():
+            break
+        assign = new_assign
+        for c in range(k):
+            members = points[assign == c]
+            if len(members):
+                centers[c] = members.mean(axis=0)
+    a = centers.T
+    xhat = (points[:, :, None] - a).max(axis=1)
+    overshoot = (a + xhat[:, None, :]).min(axis=-1) - points
+    return a, (xhat + -overshoot.max(axis=-1, keepdims=True) / 2.0).T
+
+
+def test_kmeans_start_matches_broadcast_reference():
+    rng = np.random.default_rng(38)
+    for trial in range(16):
+        n, cols = int(rng.integers(2, 200)), int(rng.integers(2, 200))
+        m = int(rng.integers(1, min(n, cols, 12) + 1))
+        if trial % 2:
+            data = rng.integers(0, 9, size=(n, cols)).astype(float)
+        else:
+            data = rng.normal(size=(n, cols)) * 3
+        a, b = _kmeans_start(data, m, np.random.default_rng([trial]))
+        ref_a, ref_b = ref_kmeans_start(data, m, np.random.default_rng([trial]))
+        assert a.tobytes() == ref_a.tobytes()
+        assert b.tobytes() == ref_b.tobytes()
+
+
+def test_nonsym_factorize_memory_is_quadratic(closure300, monkeypatch):
+    d = closure300.data
+    n, m = d.shape[0], 20
+    # every Newton step allocates the same scratch, so one step per problem shows the peak
+    monkeypatch.setattr(factorization, "INNER_MAX_ITER", 1)
+    tracemalloc.start()
+    try:
+        nonsym_factorize(d, m, NonsymFactorConfig(max_iter=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n * n * 8  # kmeans folds over centers; a half-sweep alone is ~8
+
+
+def test_nonsym_half_sweep_memory_is_quadratic(closure300):
+    d = closure300.data
+    n, m = d.shape[0], 20
     a, b = _kmeans_start(d, m, np.random.default_rng([0, 0]))
     tracemalloc.start()
     try:

@@ -1,10 +1,12 @@
 """Golden CLI outputs: seeded commands must reproduce committed files byte for byte.
 
 The input, golden/graph30.edges, is a fixed weighted graph: 30 nodes and
-75 edges (a random spanning tree plus chords, integer weights 1..9). Each
-case runs one CLI command on it and compares every data file it writes
-with the copy under golden/<case>/. Reports are not compared; they hold
-timings.
+75 edges (a random spanning tree plus chords, integer weights 1..9).
+golden/graph30_real.edges is the same graph with every weight scaled by
+0.1*pi and written with 17 significant digits, so its distances are not
+integers and rounding shows. Each case runs one CLI command on one of
+them and compares every data file it writes with the copy under
+golden/<case>/. Reports are not compared; they hold timings.
 
 After a change that is meant to alter these outputs, regenerate them with
 `PYTHONPATH=src python tests/test_golden.py` and say why in the change.
@@ -18,6 +20,8 @@ from minplus.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 GRAPH = GOLDEN / "graph30.edges"
+REAL_GRAPH = GOLDEN / "graph30_real.edges"
+FACTOR_FILES = ("factors.json", "factors_left.csv", "factors_right.csv")
 
 CASES = {
     "factor-sym": (
@@ -43,12 +47,24 @@ CASES = {
         ],
         ("factors.json", "factors_left.csv", "factors_right.csv"),
     ),
+    # C(30,4) = 27,405 > 200: the sampled branch of the waypoint search
+    "factor-actual-sampled": (
+        ["factor", "--mode", "actual", "--rank", "4", "--budget", "200", "--seed", "7"],
+        FACTOR_FILES,
+    ),
+    "spd-real": (["spd"], ("spd.csv",), REAL_GRAPH),
+    "factor-actual-real": (
+        ["factor", "--mode", "actual", "--rank", "3", "--seed", "7"],
+        FACTOR_FILES,
+        REAL_GRAPH,
+    ),
 }
 
 
 def run_case(name: str, out_dir: Path) -> None:
-    argv, _ = CASES[name]
-    assert main([*argv, "--input", str(GRAPH), "--out-dir", str(out_dir)]) == 0
+    argv, _, *graph = CASES[name]
+    source = graph[0] if graph else GRAPH
+    assert main([*argv, "--input", str(source), "--out-dir", str(out_dir)]) == 0
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -61,6 +77,7 @@ def test_golden_outputs_byte_identical(name, tmp_path):
 
 if __name__ == "__main__":
     for case in CASES:
+        (GOLDEN / case).mkdir(exist_ok=True)
         run_case(case, GOLDEN / case)
         for leftover in (GOLDEN / case).glob("*_report.json"):
             leftover.unlink()
