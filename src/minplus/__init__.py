@@ -51,21 +51,17 @@ from .graphs import (
     shortest_path_matrix,
 )
 from .regression import (
-    ActivePattern,
     RegressionConfig,
     RegressionOutcome,
-    active_pattern,
     chebyshev_regression,
     min_plus_apply,
     newton_directed_line_search,
     principal_solution,
-    restricted_newton_target,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivePattern",
     "DomainError",
     "FactorPair",
     "Graph",
@@ -83,7 +79,6 @@ __all__ = [
     "SymFactorConfig",
     "TropicalMatrix",
     "UnboundedColumnError",
-    "active_pattern",
     "actual_waypoint",
     "actual_waypoint_search",
     "chebyshev_regression",
@@ -107,7 +102,6 @@ __all__ = [
     "read_matrix_csv",
     "render_edge_list",
     "residual_of_given_factor",
-    "restricted_newton_target",
     "shortest_path_matrix",
     "svd",
     "svd_truncate",

@@ -100,16 +100,20 @@ def _load_input(args) -> tuple[Graph | None, TropicalMatrix | None]:
 
 def _apply_cap(matrix: TropicalMatrix, cap: float | None) -> TropicalMatrix:
     """Replace inf entries with cap, which must bound every finite entry
-    and leave room for the sum of two entries."""
+    and leave room for the sum of two entries. A matrix with no inf entry
+    comes back as it is, keeping a closure's idempotent mark."""
     if cap is None:
         return matrix
-    finite = matrix.data[np.isfinite(matrix.data)]
+    infinite = np.isinf(matrix.data)
+    finite = matrix.data[~infinite]
     if finite.size and cap < finite.max():
         raise UsageError(f"--cap {cap:g} is below the largest finite entry {finite.max():g}")
     if math.isinf(2.0 * cap):
         raise UsageError(f"--cap {cap:g} is too large: twice it overflows")
+    if not infinite.any():
+        return matrix
     data = matrix.data.copy()
-    data[np.isinf(data)] = cap
+    data[infinite] = cap
     return TropicalMatrix(data)
 
 

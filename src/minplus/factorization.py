@@ -303,8 +303,38 @@ def jacobi_map(D: TropicalMatrix, F: TropicalMatrix, Fp: TropicalMatrix) -> Trop
     return TropicalMatrix(_jacobi_apply(setup, fp))
 
 
-def _sym_run(d: np.ndarray, f0: np.ndarray, cfg: SymFactorConfig):
-    """One restart of the symmetric driver; returns (best F, residual, trace).
+def _checked_inits(inits, *shapes: tuple[int, int]) -> list[tuple[np.ndarray, ...]]:
+    """Extra starts as C-ordered float copies, each checked to hold arrays of
+    the given shapes with finite entries."""
+    checked = []
+    for init in inits:
+        arrays = tuple(np.array(x, dtype=float, order="C") for x in init)
+        if tuple(x.shape for x in arrays) != shapes:
+            raise ShapeError(f"extra init shapes {[x.shape for x in arrays]} do not match {list(shapes)}")
+        if not all(np.isfinite(x).all() for x in arrays):
+            raise DomainError("extra inits must be finite")
+        checked.append(arrays)
+    return checked
+
+
+def _best_of_starts(starts, run, target: float = -np.inf) -> FactorPair:
+    """Run each start, a tuple of arrays, until the best residual reaches
+    target. run returns (residual, left, right, trace); the lowest residual
+    wins and ties keep the earliest start."""
+    best, runs = None, 0
+    for start in starts:
+        outcome = run(*start)
+        runs += 1
+        if best is None or outcome[0] < best[0]:
+            best = outcome
+        if best[0] <= target:
+            break
+    res, left, right, trace = best
+    return FactorPair(TropicalMatrix(left), TropicalMatrix(right), res, runs, tuple(trace))
+
+
+def _sym_run(d: np.ndarray, f: np.ndarray, cfg: SymFactorConfig):
+    """One restart of the symmetric driver: (residual, best F, its transpose, trace).
 
     Each iterate's product F (x) F^T and selectors come from one
     _sym_product pass: the product scores the iterate and the selectors
@@ -312,11 +342,10 @@ def _sym_run(d: np.ndarray, f0: np.ndarray, cfg: SymFactorConfig):
     scratch memory. The trace records the best residual seen up to each
     iteration, so it is non-increasing by construction.
     """
-    f = f0.astype(float).copy()
     m = f.shape[1]
     product, selectors = _sym_product(f)
     best_res = float(np.sqrt(np.sum((d - product) ** 2)))
-    best_f = f.copy()
+    best_f = f
     trace = [best_res]
     mu = cfg.shoot
     stall = 0
@@ -332,7 +361,7 @@ def _sym_run(d: np.ndarray, f0: np.ndarray, cfg: SymFactorConfig):
         res = float(np.sqrt(np.sum((d - product) ** 2)))
         if res < best_res:
             best_res = res
-            best_f = f.copy()
+            best_f = f
             stall = 0
         else:
             stall += 1
@@ -340,7 +369,7 @@ def _sym_run(d: np.ndarray, f0: np.ndarray, cfg: SymFactorConfig):
                 mu = max(mu * MU_DECAY, MU_FLOOR)
                 stall = 0
         trace.append(best_res)
-    return best_f, best_res, trace
+    return best_res, best_f, best_f.T, trace
 
 
 def sym_factorize(
@@ -352,47 +381,23 @@ def sym_factorize(
     starts from F = D(:,W). Per iteration the selectors are frozen at the
     current factor, jacobi_steps Jacobi sweeps approximate the frozen
     quadratic's minimizer, and the factor moves by the undershooting
-    combination mu*new + (1-mu)*current. The best iterate over all
-    restarts wins; ties keep the earliest restart. extra_inits supplies
-    additional deterministic starting factors (used by the rank-sweep CLI
-    to warm-start from the previous rank).
+    combination mu*new + (1-mu)*current. extra_inits supplies additional
+    deterministic starting factors, run after the restarts (used by the
+    rank-sweep CLI to warm-start from the previous rank). The best iterate
+    over all starts wins; ties keep the earliest start, and no start runs
+    once one has reached SYM_TOL.
     """
     d = _check_symmetric_distance(D)
     _warn_if_not_idempotent(D)
     n = d.shape[0]
     if cfg.rank > n:
         raise ValueError(f"rank {cfg.rank} exceeds matrix size {n}")
-
-    def starts():
-        for r in range(cfg.restarts):
-            rng = np.random.default_rng([cfg.seed, r])
-            yield d[:, rng.choice(n, size=cfg.rank, replace=False)]
-        for f0 in extra_inits:
-            f0 = np.asarray(f0, dtype=float)
-            if f0.shape != (n, cfg.rank):
-                raise ShapeError(f"extra init shape {f0.shape} is not ({n}, {cfg.rank})")
-            if not np.isfinite(f0).all():
-                raise DomainError("extra inits must be finite")
-            yield f0
-
-    best: tuple[float, np.ndarray, list[float]] | None = None
-    runs = 0
-    for f0 in starts():
-        f, res, trace = _sym_run(d, f0, cfg)
-        runs += 1
-        if best is None or res < best[0]:
-            best = (res, f, trace)
-        if best[0] <= SYM_TOL:
-            break
-    assert best is not None
-    res, f, trace = best
-    return FactorPair(
-        left=TropicalMatrix(f),
-        right=TropicalMatrix(f.T),
-        residual=res,
-        restarts_used=runs,
-        iteration_trace=tuple(trace),
+    extras = _checked_inits(((f0,) for f0 in extra_inits), (n, cfg.rank))
+    restarts = (
+        (d[:, np.random.default_rng([cfg.seed, r]).choice(n, size=cfg.rank, replace=False)],)
+        for r in range(cfg.restarts)
     )
+    return _best_of_starts(itertools.chain(restarts, extras), lambda f0: _sym_run(d, f0, cfg), SYM_TOL)
 
 
 def residual_of_given_factor(D: TropicalMatrix, F: TropicalMatrix) -> float:
@@ -462,6 +467,35 @@ def _kmeans_start(m_data: np.ndarray, k: int, rng: np.random.Generator) -> tuple
     return a, _chebyshev_shift(a, mt, xhat).T
 
 
+def _alternate(m_mat: np.ndarray, a: np.ndarray, b: np.ndarray, cfg: NonsymFactorConfig):
+    """The pairs of one general run: the start, then the pair after each
+    half-sweep. The half-sweeps return new arrays, so no pair changes in
+    place; the run ends after cfg.max_iter outer iterations, or once no
+    factor entry moved NONSYM_TOL in one."""
+    inner_cfg = RegressionConfig(max_iter=INNER_MAX_ITER)
+    yield a, b
+    for _ in range(cfg.max_iter):
+        a_prev, b_prev = a, b
+        b = _newton_batch(a, m_mat.T, b.T, inner_cfg)[0].T  # one problem per column of M
+        yield a, b
+        a = _newton_batch((b if cfg.gauss_seidel else b_prev).T, m_mat, a, inner_cfg)[0]
+        yield a, b
+        if (np.abs(a - a_prev) < NONSYM_TOL).all() and (np.abs(b - b_prev) < NONSYM_TOL).all():
+            return
+
+
+def _nonsym_run(m_mat: np.ndarray, a: np.ndarray, b: np.ndarray, cfg: NonsymFactorConfig):
+    """One start of the general driver: (residual, A, B, trace) of its best
+    pair, with every pair's residual in the trace; ties keep the earliest."""
+    best, trace = None, []
+    for pair in _alternate(m_mat, a, b, cfg):
+        res = float(np.sqrt(np.sum((m_mat - _mp(*pair)) ** 2)))
+        trace.append(res)
+        if best is None or res < best[0]:
+            best = (res, *pair)
+    return (*best, trace)
+
+
 def nonsym_factorize(
     M: TropicalMatrix,
     m: int,
@@ -477,9 +511,9 @@ def nonsym_factorize(
     are refined in turn by the 2-norm solver, warm-started at their
     previous values; by default the row sweep regresses against the
     previous outer iteration's B. Each half-sweep's problems share one
-    design matrix (A, or B^T) and run as one batch. The best pair ever
-    seen (initialization included) is returned, so the residual never
-    exceeds any start's; ties keep the earliest start.
+    design matrix (A, or B^T) and run as one batch. Every start runs, and
+    the best pair ever seen (initialization included) is returned, so the
+    residual never exceeds any start's; ties keep the earliest start.
     """
     cfg = cfg or NonsymFactorConfig()
     m_mat = _data_of(M)
@@ -488,56 +522,6 @@ def nonsym_factorize(
     n, d_cols = m_mat.shape
     if not (1 <= m <= min(n, d_cols)):
         raise ValueError(f"rank must lie in 1..{min(n, d_cols)}")
-    inner_cfg = RegressionConfig(max_iter=INNER_MAX_ITER)
-
-    def starts():
-        for r in range(cfg.restarts):
-            yield _kmeans_start(m_mat, m, np.random.default_rng([cfg.seed, r]))
-        for a0, b0 in extra_inits:
-            a, b = np.asarray(a0, dtype=float), np.asarray(b0, dtype=float)
-            if a.shape != (n, m) or b.shape != (m, d_cols):
-                raise ShapeError(
-                    f"extra init shapes {a.shape}, {b.shape} do not match ({n},{m}), ({m},{d_cols})"
-                )
-            if not (np.isfinite(a).all() and np.isfinite(b).all()):
-                raise DomainError("extra inits must be finite")
-            yield a, b
-
-    best: tuple[float, np.ndarray, np.ndarray, list[float]] | None = None
-    runs = 0
-    mt = m_mat.T  # the column half-sweep's right-hand sides, one per row
-    for a, b in starts():  # the half-sweeps return new arrays, so no pair is changed in place
-        res = float(np.sqrt(np.sum((m_mat - _mp(a, b)) ** 2)))
-        trace = [res]
-        run_best = (res, a, b)
-        for _ in range(cfg.max_iter):
-            a_prev, b_prev = a, b
-            b = _newton_batch(a, mt, b.T, inner_cfg)[0].T
-            res = float(np.sqrt(np.sum((m_mat - _mp(a, b)) ** 2)))
-            trace.append(res)
-            if res < run_best[0]:
-                run_best = (res, a, b)
-            b_for_rows = b if cfg.gauss_seidel else b_prev
-            a = _newton_batch(b_for_rows.T, m_mat, a, inner_cfg)[0]
-            res = float(np.sqrt(np.sum((m_mat - _mp(a, b)) ** 2)))
-            trace.append(res)
-            if res < run_best[0]:
-                run_best = (res, a, b)
-            change = max(
-                float(np.max(np.abs(a - a_prev), initial=0.0)),
-                float(np.max(np.abs(b - b_prev), initial=0.0)),
-            )
-            if change < NONSYM_TOL:
-                break
-        runs += 1
-        if best is None or run_best[0] < best[0]:
-            best = (run_best[0], run_best[1], run_best[2], trace)
-    assert best is not None
-    res, a, b, trace = best
-    return FactorPair(
-        left=TropicalMatrix(a),
-        right=TropicalMatrix(b),
-        residual=res,
-        restarts_used=runs,
-        iteration_trace=tuple(trace),
-    )
+    extras = _checked_inits(extra_inits, (n, m), (m, d_cols))
+    restarts = (_kmeans_start(m_mat, m, np.random.default_rng([cfg.seed, r])) for r in range(cfg.restarts))
+    return _best_of_starts(itertools.chain(restarts, extras), lambda a, b: _nonsym_run(m_mat, a, b, cfg))

@@ -42,29 +42,6 @@ class RegressionOutcome:
     residual_trace: tuple[float, ...] = field(default=())
 
 
-@dataclass
-class ActivePattern:
-    """Argmin bookkeeping for the piecewise-quadratic residual at a point x.
-
-    selectors[i] is the smallest column attaining min_j(a_ij + x_j)
-    exactly, and near[i, j] marks the columns within TIE_TOL of that
-    minimum. tied_rows lists rows with more than one near column, i.e. x
-    lies on the tie surface, and tie_sets holds those rows' near columns.
-    """
-
-    x: np.ndarray
-    selectors: np.ndarray
-    near: np.ndarray
-
-    @property
-    def tied_rows(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.near.sum(axis=1) > 1).tolist())
-
-    @property
-    def tie_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(np.flatnonzero(self.near[i]).tolist()) for i in self.tied_rows)
-
-
 def min_plus_apply(A: TropicalMatrix, x: np.ndarray) -> np.ndarray:
     """A (x) x for a vector x: component i is min_j(a_ij + x_j)."""
     a = _data_of(A)
@@ -88,7 +65,11 @@ def _check_rhs(a: np.ndarray, y: np.ndarray) -> np.ndarray:
 def principal_solution(A: TropicalMatrix, y: np.ndarray) -> np.ndarray:
     """Least x with A (x) x >= y componentwise: x_j = max_i(y_i - a_ij)."""
     a = _data_of(A)
-    y = _check_rhs(a, y)
+    return _principal_solution(a, _check_rhs(a, y))
+
+
+def _principal_solution(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """principal_solution of validated arrays."""
     if a.shape[0] == 0:
         raise DomainError("regression needs at least one row")
     candidates = y[:, None] - a  # finite - inf = -inf marks non-binding rows
@@ -109,8 +90,8 @@ def chebyshev_regression(A: TropicalMatrix, y: np.ndarray) -> RegressionOutcome:
     is the principal solution shifted by -r.
     """
     a = _data_of(A)
-    xhat = principal_solution(A, y)
     y = _check_rhs(a, y)
+    xhat = _principal_solution(a, y)
     if not np.isfinite(a).any(axis=1).all():
         i = int(np.argmin(np.isfinite(a).any(axis=1)))
         raise DomainError(f"row {i} has no finite entry; the sup-norm residual is always inf")
@@ -128,37 +109,14 @@ def _chebyshev_shift(a: np.ndarray, Y: np.ndarray, xhat: np.ndarray) -> np.ndarr
     return xhat + -overshoot.max(axis=-1, keepdims=True) / 2.0
 
 
-def active_pattern(A: TropicalMatrix, x: np.ndarray, tie_tol: float = TIE_TOL) -> ActivePattern:
-    """Smallest-index argmin per row plus the columns within tie_tol of it."""
-    a = _data_of(A)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (a.shape[1],):
-        raise DomainError(f"vector length {x.shape} does not match {a.shape[1]} columns")
-    values = a + x[None, :]
-    row_min = values.min(axis=1)
-    selectors = values.argmin(axis=1)  # first minimum = smallest index
-    near = values <= row_min[:, None] + tie_tol
-    return ActivePattern(x=x.copy(), selectors=selectors, near=near)
-
-
-def restricted_newton_target(A: TropicalMatrix, y: np.ndarray, pattern: ActivePattern) -> np.ndarray:
-    """Newton target restricted to directions tangent to the tie surface.
-
-    Columns tied within a row, transitively, form a group that moves by
-    one common increment, else the step leaves the quadratic piece: the
-    mean of y_i - a_ik - x_k over the rows selecting one of its columns,
-    summed in row order. Groups selected by no row stay frozen.
-    """
-    a = _data_of(A)
-    y = _check_rhs(a, y)
-    x, sel, near = pattern.x[None], pattern.selectors[None], pattern.near.T[:, None, :]
-    return _newton_targets(a, y[None], x, sel, near)[0]
-
-
 def _newton_targets(
     a: np.ndarray, Y: np.ndarray, X: np.ndarray, sel: np.ndarray, near: np.ndarray
 ) -> np.ndarray:
-    """Restricted Newton targets (p, d) of p problems against one design.
+    """Newton targets (p, d) of p problems against one design, restricted
+    to directions tangent to the tie surface: columns tied within a row,
+    transitively, form a group that moves by one common increment, the
+    mean of y_i - a_ik - x_k over the rows selecting one of its columns,
+    summed in row order. Groups selected by no row stay frozen.
 
     Y, X and sel hold one problem per row, near is (d, p, n) as in
     _newton_batch. Labels propagate through near in at most d rounds, and
@@ -320,7 +278,7 @@ def newton_directed_line_search(
         i = int(np.argmin(np.isfinite(a).any(axis=1)))
         raise DomainError(f"row {i} has no finite entry; the residual is always inf")
     if x0 is None:
-        x = chebyshev_regression(A, y).solution
+        x = _chebyshev_shift(a, y, _principal_solution(a, y))
     else:
         x = np.asarray(x0, dtype=float).copy()
         if x.shape != (a.shape[1],):

@@ -324,6 +324,28 @@ def test_residual_curve_checks_idempotency_once(tmp_path, monkeypatch):
     assert len(calls) == 1  # a closure is idempotent by construction
 
 
+def test_cap_on_connected_graph_keeps_closure_unchecked(tmp_path, monkeypatch):
+    # a connected graph's closure has no inf entry, so --cap leaves it as it
+    # is, still marked idempotent by kleene_star: the O(n^3) guard never runs
+    import minplus.factorization as factorization
+
+    calls = []
+    check = factorization.is_idempotent
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(factorization, "is_idempotent", counting)
+    argv = [
+        "factor", "--mode", "sym", "--rank", "2", "--restarts", "1", "--max-iter", "2",
+        "--input", str(GENERAL_62), "--out-dir", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    assert main([*argv, "--cap", "100"]) == 0
+    assert calls == []
+
+
 def test_residual_curve_general_never_rises(tmp_path):
     # with a cold start at every rank this curve rose from 0.19442 at rank
     # 4 to 0.19635 at rank 5; the previous rank's padded pair now also runs

@@ -47,6 +47,22 @@ CASES = {
         ],
         ("factors.json", "factors_left.csv", "factors_right.csv"),
     ),
+    # two restarts pick the better pair; the warm-started rank chain
+    # adds an extra start after the kmeans restarts at every rank above 1
+    "factor-general-gs": (
+        [
+            "factor", "--mode", "general", "--rank", "3", "--max-iter", "5",
+            "--restarts", "2", "--gauss-seidel", "--seed", "7",
+        ],
+        FACTOR_FILES,
+    ),
+    "curve-general": (
+        [
+            "residual-curve", "--method", "minplus-general", "--max-rank", "5",
+            "--max-iter", "5", "--restarts", "2", "--seed", "7",
+        ],
+        ("curve.csv",),
+    ),
     # C(30,4) = 27,405 > 200: the sampled branch of the waypoint search
     "factor-actual-sampled": (
         ["factor", "--mode", "actual", "--rank", "4", "--budget", "200", "--seed", "7"],

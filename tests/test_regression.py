@@ -1,5 +1,7 @@
 """Min-plus regression: principal solution, Chebyshev optimum, line search."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,11 @@ from minplus import (
     RegressionConfig,
     TropicalMatrix,
     UnboundedColumnError,
-    active_pattern,
     chebyshev_regression,
     identity,
     min_plus_apply,
     newton_directed_line_search,
     principal_solution,
-    restricted_newton_target,
 )
 from minplus import regression as reg
 
@@ -23,6 +23,33 @@ from minplus import regression as reg
 def residual_sq(A, y, x):
     """Squared 2-norm residual sum_i (min_j(a_ij + x_j) - y_i)^2."""
     return float(np.sum((min_plus_apply(A, x) - y) ** 2))
+
+
+class ActivePattern(NamedTuple):
+    """Selectors and near ties of a one-problem residual at x."""
+
+    x: np.ndarray
+    selectors: np.ndarray
+    near: np.ndarray
+    tied_rows: tuple[int, ...]
+    tie_sets: tuple[tuple[int, ...], ...]
+
+
+def active_pattern(A, x, tie_tol=reg.TIE_TOL):
+    """Test-only reference: the smallest argmin column of each row of A + x,
+    the columns within tie_tol of its minimum, and the rows with more than
+    one such column, computed apart from the batched engine."""
+    values = A.data + x[None, :]
+    near = values <= values.min(axis=1)[:, None] + tie_tol
+    tied = np.flatnonzero(near.sum(axis=1) > 1)
+    tie_sets = tuple(tuple(np.flatnonzero(near[i]).tolist()) for i in tied)
+    return ActivePattern(x.copy(), values.argmin(axis=1), near, tuple(tied.tolist()), tie_sets)
+
+
+def restricted_newton_target(A, y, pattern):
+    """One problem through the batched reg._newton_targets."""
+    near = pattern.near.T[:, None, :]
+    return reg._newton_targets(A.data, y[None], pattern.x[None], pattern.selectors[None], near)[0]
 
 
 def newton_target(A, y, pattern):
@@ -603,3 +630,20 @@ def test_newton_batch_matches_one_problem_path(block, monkeypatch):
                 assert (its, conv, trace) == (one.iterations, one.converged, one.residual_trace)
         mixed += len(set(zip(iterations.tolist(), converged.tolist()))) > 1
     assert mixed >= 15
+
+
+def test_line_search_default_start_is_chebyshev_solution():
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        n, d = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        a = rng.normal(size=(n, d)) * 2
+        y = rng.normal(size=n) * 2
+        ta = TropicalMatrix(a)
+        start = chebyshev_regression(ta, y).solution
+        auto = newton_directed_line_search(ta, y)
+        given = newton_directed_line_search(ta, y, x0=start)
+        assert auto.solution.tobytes() == given.solution.tobytes()
+        assert auto.residual_trace == given.residual_trace
+    unbounded = TropicalMatrix(np.array([[0.0, INF], [1.0, INF]]))
+    with pytest.raises(UnboundedColumnError):
+        newton_directed_line_search(unbounded, np.array([0.0, 0.0]))
