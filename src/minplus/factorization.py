@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import TropicalMatrix, _data_of, _mp, frobenius_distance, is_idempotent
 from .errors import DomainError, ShapeError
-from .regression import RegressionConfig, _chebyshev_shift, _newton_batch
+from .regression import BATCH_ELEMENTS, RegressionConfig, _chebyshev_shift, _newton_batch
 
 INFEASIBLE_HINT = "cap infinite entries first (the CLI exposes --cap for this)"
 
@@ -224,45 +224,51 @@ def actual_waypoint_search(
 
 
 def _sym_product(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F (x) F^T and its selectors K in one pass over the m columns.
+    """F (x) F^T and its selectors K for each start of a (P, n, m) stack,
+    in one pass over the m columns.
 
-    K[i,j] is the smallest column attaining min_k(f_ik + f_jk): a column
-    replaces the running minimum only when strictly smaller, so ties keep
-    the earlier column, exactly as argmin does. Scratch memory is O(n^2)
-    (the n x n product, selectors, one column sum and its mask); the
-    n x n x m tensor of pair values is never formed.
+    K[p,i,j] is the smallest column attaining min_k(f_pik + f_pjk). The
+    product folds with np.minimum; a column that is strictly smaller
+    raises the selector to k, and every earlier selector is below k, so
+    ties keep the earlier column, exactly as argmin does. Scratch memory
+    is O(P*n^2); the P x n x n x m tensor of pair values is never formed.
     """
-    n, m = f.shape
-    product = f[:, 0, None] + f[None, :, 0]
-    selectors = np.zeros((n, n), dtype=np.intp)
+    m = f.shape[2]
+    product = f[:, :, None, 0] + f[:, None, :, 0]
+    selectors = np.zeros(product.shape, dtype=np.intp)
     column = np.empty_like(product)
     better = np.empty(product.shape, dtype=bool)
     for k in range(1, m):
-        np.add(f[:, k, None], f[None, :, k], out=column)
+        np.add(f[:, :, None, k], f[:, None, :, k], out=column)
         np.less(column, product, out=better)
-        np.copyto(product, column, where=better)
-        selectors[better] = k
+        np.minimum(product, column, out=product)
+        np.maximum(selectors, better * k, out=selectors)
     return product, selectors
 
 
 def _jacobi_setup(d: np.ndarray, selectors: np.ndarray, m: int):
-    """Tables for Jacobi sweeps of the quadratic frozen at selectors K.
+    """Tables for Jacobi sweeps of each start's quadratic frozen at its
+    (P, n, n) selectors K.
 
     K comes from _sym_product, so a tied pair belongs to its smallest
-    attaining column. Pair (i,j) feeds entry (i, K[i,j]) of the update,
-    so every per-entry sum over j is a bincount over the flat index
-    i*m + K[i,j]. The setup and each sweep need O(n^2) scratch memory
-    (flat indices and gathered weights) and O(n^2) work, independent of m.
+    attaining column. Pair (i,j) of start p feeds entry (p, i, K[p,i,j])
+    of the update, so every per-entry sum over j is a bincount over the
+    flat index p*n*m + i*m + K[p,i,j]. Each start's bins collect its own
+    pairs in the one-start order, so its sums are bitwise the P = 1 ones.
+    The setup and each sweep need O(P*n^2) scratch memory and work,
+    independent of m.
     """
-    n = d.shape[0]
-    rows = np.arange(n)
-    bins = (rows[:, None] * m + selectors).ravel()
-    gather = (rows[None, :] * m + selectors).ravel()  # flat position of fp[j, K[i,j]]
-    diag_hot = np.zeros((n, m))  # 1_ik: does row i anchor column k
-    diag_hot[rows, selectors[rows, rows]] = 1.0
+    p, n = selectors.shape[:2]
+    rows, starts = np.arange(n), np.arange(p)[:, None]
+    offset = starts[:, :, None] * (n * m)
+    bins = (offset + rows[:, None] * m + selectors).ravel()
+    gather = (offset + rows[None, :] * m + selectors).ravel()  # flat position of fp[p, j, K[p,i,j]]
+    diag_hot = np.zeros((p, n, m))  # 1_pik: does row i anchor column k in start p
+    diag_hot[starts, rows, selectors[:, rows, rows]] = 1.0
     d_diag = d[rows, rows][:, None]
-    count = np.bincount(bins, minlength=n * m).reshape(n, m)
-    d_sums = np.bincount(bins, weights=d.ravel(), minlength=n * m).reshape(n, m)
+    count = np.bincount(bins, minlength=p * n * m).reshape(p, n, m)
+    weights = np.broadcast_to(d, (p, n, n)).ravel()  # a view of d when p = 1
+    d_sums = np.bincount(bins, weights=weights, minlength=p * n * m).reshape(p, n, m)
     static_num = d_sums - diag_hot * d_diag
     denominator = 2.0 * diag_hot + (count - diag_hot)
     positive = denominator > 0
@@ -271,15 +277,15 @@ def _jacobi_setup(d: np.ndarray, selectors: np.ndarray, m: int):
 
 
 def _jacobi_apply(setup, fp: np.ndarray) -> np.ndarray:
-    """One Jacobi sweep of the frozen quadratic's normal equations.
+    """One Jacobi sweep of each start's frozen normal equations, fp (P, n, m).
 
     Entry (i,k) becomes (d_ii*1_ik + sum_{j != i, K(i,j)=k} (d_ij - fp_jk))
     / (2*1_ik + #{j != i : K(i,j)=k}); zero denominators copy fp. The sum
-    over j gathers fp[j, K[i,j]] and bincounts it: O(n^2) time and memory.
+    over j gathers fp[p, j, K[p,i,j]] and bincounts it: O(P*n^2) time and
+    memory.
     """
     bins, gather, diag_hot, anchored_num, positive, denominator = setup
-    n, m = fp.shape
-    fp_sums = np.bincount(bins, weights=fp.ravel()[gather], minlength=n * m).reshape(n, m)
+    fp_sums = np.bincount(bins, weights=fp.ravel()[gather], minlength=fp.size).reshape(fp.shape)
     cross = fp_sums - diag_hot * fp
     return np.where(positive, (anchored_num - cross) / denominator, fp)
 
@@ -299,8 +305,8 @@ def jacobi_map(D: TropicalMatrix, F: TropicalMatrix, Fp: TropicalMatrix) -> Trop
         raise ShapeError(f"factor shapes disagree: D {d.shape}, F {f.shape}, Fp {fp.shape}")
     if not (np.isfinite(d).all() and np.isfinite(f).all() and np.isfinite(fp).all()):
         raise DomainError("jacobi_map needs finite inputs")
-    setup = _jacobi_setup(d, _sym_product(f)[1], f.shape[1])
-    return TropicalMatrix(_jacobi_apply(setup, fp))
+    setup = _jacobi_setup(d, _sym_product(f[None])[1], f.shape[1])
+    return TropicalMatrix(_jacobi_apply(setup, fp[None])[0])
 
 
 def _checked_inits(inits, *shapes: tuple[int, int]) -> list[tuple[np.ndarray, ...]]:
@@ -317,13 +323,12 @@ def _checked_inits(inits, *shapes: tuple[int, int]) -> list[tuple[np.ndarray, ..
     return checked
 
 
-def _best_of_starts(starts, run, target: float = -np.inf) -> FactorPair:
-    """Run each start, a tuple of arrays, until the best residual reaches
-    target. run returns (residual, left, right, trace); the lowest residual
-    wins and ties keep the earliest start."""
+def _best_of_starts(outcomes, target: float = -np.inf) -> FactorPair:
+    """Take each start's outcome (residual, left, right, trace) in turn
+    until the best residual reaches target; the lowest residual wins and
+    ties keep the earliest start."""
     best, runs = None, 0
-    for start in starts:
-        outcome = run(*start)
+    for outcome in outcomes:
         runs += 1
         if best is None or outcome[0] < best[0]:
             best = outcome
@@ -333,43 +338,60 @@ def _best_of_starts(starts, run, target: float = -np.inf) -> FactorPair:
     return FactorPair(TropicalMatrix(left), TropicalMatrix(right), res, runs, tuple(trace))
 
 
-def _sym_run(d: np.ndarray, f: np.ndarray, cfg: SymFactorConfig):
-    """One restart of the symmetric driver: (residual, best F, its transpose, trace).
+def _sym_residuals(d: np.ndarray, product: np.ndarray) -> np.ndarray:
+    """||D - product_p||_F for each start p, each summed as np.sum sums one."""
+    return np.sqrt(np.sum(((d - product) ** 2).reshape(len(product), -1), axis=1))
 
-    Each iterate's product F (x) F^T and selectors come from one
-    _sym_product pass: the product scores the iterate and the selectors
-    freeze the next iteration's quadratic. No step needs more than O(n^2)
-    scratch memory. The trace records the best residual seen up to each
-    iteration, so it is non-increasing by construction.
+
+def _sym_block(d: np.ndarray, f: np.ndarray, cfg: SymFactorConfig):
+    """Run a (P, n, m) stack of starts of the symmetric driver together:
+    each start's (residual, best F, its transpose, trace), in order.
+
+    Each iterate's products and selectors come from one _sym_product
+    pass: the product scores the iterate and the selectors freeze the
+    next iteration's quadratic. mu, the stall count and the best iterate
+    are kept per start, and a start leaves the block once it reaches
+    SYM_TOL, so every start takes exactly its one-start steps. Each trace
+    records the best residual seen up to each iteration, so it is
+    non-increasing by construction.
     """
-    m = f.shape[1]
+    m = f.shape[2]
     product, selectors = _sym_product(f)
-    best_res = float(np.sqrt(np.sum((d - product) ** 2)))
-    best_f = f
-    trace = [best_res]
-    mu = cfg.shoot
-    stall = 0
+    best_res, best_f = _sym_residuals(d, product), f.copy()
+    traces = [[r] for r in best_res.tolist()]
+    mu, stall = np.full(len(f), cfg.shoot), np.zeros(len(f), dtype=int)
+    act = np.arange(len(f))  # the starts still iterating
     for _ in range(cfg.max_iter):
-        if best_res <= SYM_TOL:
-            break
+        go = best_res[act] > SYM_TOL
+        if not go.all():
+            act, f, selectors = act[go], f[go], selectors[go]
+            if not act.size:
+                break
         setup = _jacobi_setup(d, selectors, m)
         fp = f
         for _ in range(cfg.jacobi_steps):
             fp = _jacobi_apply(setup, fp)
-        f = mu * fp + (1.0 - mu) * f
+        weight = mu[act, None, None]
+        f = weight * fp + (1.0 - weight) * f
         product, selectors = _sym_product(f)
-        res = float(np.sqrt(np.sum((d - product) ** 2)))
-        if res < best_res:
-            best_res = res
-            best_f = f
-            stall = 0
-        else:
-            stall += 1
-            if stall >= DECAY_PATIENCE:
-                mu = max(mu * MU_DECAY, MU_FLOOR)
-                stall = 0
-        trace.append(best_res)
-    return best_res, best_f, best_f.T, trace
+        res = _sym_residuals(d, product)
+        better = res < best_res[act]
+        best_res[act[better]], best_f[act[better]] = res[better], f[better]
+        stall[act] = np.where(better, 0, stall[act] + 1)
+        decay = act[stall[act] >= DECAY_PATIENCE]
+        mu[decay], stall[decay] = np.maximum(mu[decay] * MU_DECAY, MU_FLOOR), 0
+        for k, r in zip(act.tolist(), best_res[act].tolist()):
+            traces[k].append(r)
+    return [(r, fb, fb.T, trace) for r, fb, trace in zip(best_res.tolist(), best_f, traces)]
+
+
+def _sym_outcomes(d: np.ndarray, starts, cfg: SymFactorConfig):
+    """Each start's outcome, in order. The starts run in blocks of
+    P*n^2 <= max(n^2, BATCH_ELEMENTS) entries, and a block runs only once
+    every outcome before it has been taken."""
+    size = max(d.size, BATCH_ELEMENTS) // d.size
+    while block := list(itertools.islice(starts, size)):
+        yield from _sym_block(d, np.stack(block), cfg)
 
 
 def sym_factorize(
@@ -383,21 +405,23 @@ def sym_factorize(
     quadratic's minimizer, and the factor moves by the undershooting
     combination mu*new + (1-mu)*current. extra_inits supplies additional
     deterministic starting factors, run after the restarts (used by the
-    rank-sweep CLI to warm-start from the previous rank). The best iterate
-    over all starts wins; ties keep the earliest start, and no start runs
-    once one has reached SYM_TOL.
+    rank-sweep CLI to warm-start from the previous rank). The starts run
+    as one batch, in blocks of P*n^2 <= max(n^2, BATCH_ELEMENTS) entries;
+    each start's result is bitwise its one-start result. The best iterate
+    over all starts wins; ties keep the earliest start, and no block runs
+    once a start has reached SYM_TOL.
     """
     d = _check_symmetric_distance(D)
     _warn_if_not_idempotent(D)
     n = d.shape[0]
     if cfg.rank > n:
         raise ValueError(f"rank {cfg.rank} exceeds matrix size {n}")
-    extras = _checked_inits(((f0,) for f0 in extra_inits), (n, cfg.rank))
+    extras = (f0 for (f0,) in _checked_inits(((f0,) for f0 in extra_inits), (n, cfg.rank)))
     restarts = (
-        (d[:, np.random.default_rng([cfg.seed, r]).choice(n, size=cfg.rank, replace=False)],)
+        d[:, np.random.default_rng([cfg.seed, r]).choice(n, size=cfg.rank, replace=False)]
         for r in range(cfg.restarts)
     )
-    return _best_of_starts(itertools.chain(restarts, extras), lambda f0: _sym_run(d, f0, cfg), SYM_TOL)
+    return _best_of_starts(_sym_outcomes(d, itertools.chain(restarts, extras), cfg), SYM_TOL)
 
 
 def residual_of_given_factor(D: TropicalMatrix, F: TropicalMatrix) -> float:
@@ -524,4 +548,4 @@ def nonsym_factorize(
         raise ValueError(f"rank must lie in 1..{min(n, d_cols)}")
     extras = _checked_inits(extra_inits, (n, m), (m, d_cols))
     restarts = (_kmeans_start(m_mat, m, np.random.default_rng([cfg.seed, r])) for r in range(cfg.restarts))
-    return _best_of_starts(itertools.chain(restarts, extras), lambda a, b: _nonsym_run(m_mat, a, b, cfg))
+    return _best_of_starts(_nonsym_run(m_mat, a, b, cfg) for a, b in itertools.chain(restarts, extras))

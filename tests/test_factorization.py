@@ -29,10 +29,21 @@ from minplus import (
 
 import minplus.factorization as factorization
 from minplus.core import _mp
-from minplus.factorization import INNER_MAX_ITER, _kmeans_start, _sym_product, _waypoint_product
+from minplus.factorization import (
+    DECAY_PATIENCE,
+    INNER_MAX_ITER,
+    MU_DECAY,
+    MU_FLOOR,
+    SYM_TOL,
+    _jacobi_apply,
+    _jacobi_setup,
+    _kmeans_start,
+    _sym_product,
+    _waypoint_product,
+)
 from minplus.regression import RegressionConfig, _newton_batch
 
-from conftest import random_nonneg_graph_matrix
+from conftest import EXAMPLE_D, random_nonneg_graph_matrix
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +315,7 @@ def test_jacobi_sweep_and_selectors_match_einsum_reference(ties):
             f = rng.normal(scale=3.0, size=(n, m))
         fp = f + rng.normal(size=(n, m))
         pair_values = f[:, None, :] + f[None, :, :]
-        product, selectors = _sym_product(f)
+        (product,), (selectors,) = _sym_product(f[None])
         assert np.array_equal(selectors, pair_values.argmin(axis=2))
         assert np.array_equal(product, pair_values.min(axis=2))
         assert np.array_equal(product, _mp(f, f.T))
@@ -329,6 +340,106 @@ def test_sym_factorize_memory_is_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 16 * n * n * 8  # a few n x n arrays, never n x n x m
+
+
+def test_sym_factorize_block_memory_is_bounded():
+    n = 100  # 12 restarts run in two blocks of 6 starts
+    rng = np.random.default_rng(100)
+    d = kleene_star(TropicalMatrix(random_nonneg_graph_matrix(rng, n, density=0.1))).data
+    cfg = SymFactorConfig(rank=8, max_iter=1, restarts=12, seed=0)
+    tracemalloc.start()
+    try:
+        sym_factorize(d, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * max(n * n, factorization.BATCH_ELEMENTS) * 8  # a few block-sized arrays
+
+
+def ref_sym_run(d, f, cfg):
+    """The one-start symmetric loop, each kernel called on a stack of one
+    start: (best residual, best F, trace, number of mu decays)."""
+    m = f.shape[1]
+    product, selectors = _sym_product(f[None])
+    best_res = float(np.sqrt(np.sum((d - product[0]) ** 2)))
+    best_f, trace, mu, stall, decays = f, [best_res], cfg.shoot, 0, 0
+    for _ in range(cfg.max_iter):
+        if best_res <= SYM_TOL:
+            break
+        setup = _jacobi_setup(d, selectors, m)
+        fp = f[None]
+        for _ in range(cfg.jacobi_steps):
+            fp = _jacobi_apply(setup, fp)
+        f = mu * fp[0] + (1.0 - mu) * f
+        product, selectors = _sym_product(f[None])
+        res = float(np.sqrt(np.sum((d - product[0]) ** 2)))
+        if res < best_res:
+            best_res, best_f, stall = res, f, 0
+        else:
+            stall += 1
+            if stall >= DECAY_PATIENCE:
+                mu, stall, decays = max(mu * MU_DECAY, MU_FLOOR), 0, decays + 1
+        trace.append(best_res)
+    return best_res, best_f, trace, decays
+
+
+def ref_sym_factorize(d, cfg, extra_inits=()):
+    """sym_factorize one start at a time: (residual, F, trace, restarts
+    used, mu decays over the starts run)."""
+    n = d.shape[0]
+    starts = [
+        d[:, np.random.default_rng([cfg.seed, r]).choice(n, size=cfg.rank, replace=False)]
+        for r in range(cfg.restarts)
+    ]
+    best, runs, decays = None, 0, 0
+    for f0 in [*starts, *extra_inits]:
+        outcome = ref_sym_run(d, np.array(f0, dtype=float), cfg)
+        runs, decays = runs + 1, decays + outcome[3]
+        if best is None or outcome[0] < best[0]:
+            best = outcome
+        if best[0] <= SYM_TOL:
+            break
+    return best[0], best[1], tuple(best[2]), runs, decays
+
+
+def sym_batch_cases():
+    """(name, D, config, extra inits): ties, real weights, rank 1, a warm
+    start, a start reaching residual 0 after iterations, and an exact start."""
+    rng = np.random.default_rng(23)
+    ties = random_distance_matrix(rng, 12)
+    f_star = np.array([[4, 2], [4, 4], [4, 0], [2, 3], [1, 1]], dtype=float)
+    exact = _mp(f_star, f_star.T)
+    return [
+        ("integer ties", ties, SymFactorConfig(rank=3, max_iter=15, restarts=5, seed=1), ()),
+        ("real weights", ties * 0.1 * np.pi, SymFactorConfig(rank=4, max_iter=15, restarts=5, seed=2), ()),
+        ("rank 1", ties, SymFactorConfig(rank=1, max_iter=12, restarts=4, seed=3), ()),
+        ("warm start", ties, SymFactorConfig(rank=3, max_iter=12, restarts=2, seed=4), (rng.uniform(0, 9, (12, 3)),)),
+        # D = F (x) F^T: the fourth restart reaches 0 after 33 iterations, the others never do
+        ("zero late", exact, SymFactorConfig(rank=2, shoot=1.0, max_iter=40, restarts=6, seed=4), ()),
+        ("zero at once", EXAMPLE_D, SymFactorConfig(rank=6, max_iter=10, restarts=5, seed=5), ()),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:input is not idempotent")
+@pytest.mark.parametrize("starts_per_block", [1, 3, None])
+def test_sym_batch_matches_one_start_path(starts_per_block, monkeypatch):
+    decays, outcomes = 0, {}
+    for name, d, cfg, extras in sym_batch_cases():
+        if starts_per_block is not None:
+            monkeypatch.setattr(factorization, "BATCH_ELEMENTS", starts_per_block * d.size)
+        residual, f, trace, runs, case_decays = ref_sym_factorize(d, cfg, extras)
+        pair = sym_factorize(d, cfg, extra_inits=extras)
+        assert pair.residual == residual, name
+        assert pair.left.data.tobytes() == f.tobytes(), name
+        assert pair.right.data.tobytes() == np.ascontiguousarray(f.T).tobytes(), name
+        assert pair.iteration_trace == trace, name
+        assert pair.restarts_used == runs, name
+        decays += case_decays
+        outcomes[name] = (trace, runs, cfg.restarts)
+    assert decays > 0  # mu decayed somewhere, so per-start mu is exercised
+    trace, runs, restarts = outcomes["zero late"]
+    assert trace[0] > 0.0 and trace[-1] == 0.0 and runs == 4 < restarts
+    assert outcomes["zero at once"][1] == 1
 
 
 def test_jacobi_iteration_reaches_stationary_point_of_frozen_quadratic():

@@ -8,8 +8,11 @@ integers and rounding shows. Each case runs one CLI command on one of
 them and compares every data file it writes with the copy under
 golden/<case>/. Reports are not compared; they hold timings.
 
-After a change that is meant to alter these outputs, regenerate them with
-`PYTHONPATH=src python tests/test_golden.py` and say why in the change.
+`PYTHONPATH=src python tests/test_golden.py [CASE ...]` writes the named
+cases, or every case when none is named. Generate a new case before
+editing `src/`, naming only that case, so the committed files of the
+others are not rewritten. After a change that is meant to alter these
+outputs, regenerate the affected cases and say why in the change.
 """
 
 from pathlib import Path
@@ -68,6 +71,19 @@ CASES = {
         ["factor", "--mode", "actual", "--rank", "4", "--budget", "200", "--seed", "7"],
         FACTOR_FILES,
     ),
+    # 100 restarts at n = 30 run in more than one batch block of starts
+    "factor-sym-blocks": (
+        ["factor", "--mode", "sym", "--rank", "3", "--max-iter", "10", "--seed", "7"],
+        FACTOR_FILES,
+    ),
+    "curve-sym-real": (
+        [
+            "residual-curve", "--method", "minplus-sym", "--max-rank", "6",
+            "--restarts", "3", "--max-iter", "50", "--seed", "7",
+        ],
+        ("curve.csv",),
+        REAL_GRAPH,
+    ),
     "spd-real": (["spd"], ("spd.csv",), REAL_GRAPH),
     "factor-actual-real": (
         ["factor", "--mode", "actual", "--rank", "3", "--seed", "7"],
@@ -92,7 +108,12 @@ def test_golden_outputs_byte_identical(name, tmp_path):
 
 
 if __name__ == "__main__":
-    for case in CASES:
+    import sys
+
+    unknown = [case for case in sys.argv[1:] if case not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}; known: {', '.join(sorted(CASES))}")
+    for case in sys.argv[1:] or CASES:
         (GOLDEN / case).mkdir(exist_ok=True)
         run_case(case, GOLDEN / case)
         for leftover in (GOLDEN / case).glob("*_report.json"):
