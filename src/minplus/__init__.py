@@ -25,7 +25,6 @@ from .errors import (
     MinPlusError,
     NegativeCycleError,
     ParseError,
-    ScaleRefusalError,
     ShapeError,
     UnboundedColumnError,
 )
@@ -46,7 +45,6 @@ from .graphs import (
     graph_to_tropical,
     load_edge_list,
     load_gml_subset,
-    oracle_min_path_fixed_length,
     render_edge_list,
     shortest_path_matrix,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "ParseError",
     "RegressionConfig",
     "RegressionOutcome",
-    "ScaleRefusalError",
     "ShapeError",
     "SvdResult",
     "SymFactorConfig",
@@ -97,7 +94,6 @@ __all__ = [
     "newton_directed_line_search",
     "nnmf",
     "nonsym_factorize",
-    "oracle_min_path_fixed_length",
     "principal_solution",
     "read_matrix_csv",
     "render_edge_list",

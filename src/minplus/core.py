@@ -16,6 +16,7 @@ from .errors import DomainError, NegativeCycleError, ParseError, ShapeError
 INF = float("inf")
 
 CSV_FLOAT_FORMAT = ".17g"
+TILE_ROWS = 64  # rows per scratch tile of the closure and the waypoint scan
 
 
 class TropicalMatrix:
@@ -117,39 +118,55 @@ def mp_power(A: TropicalMatrix, k: int) -> TropicalMatrix:
     return TropicalMatrix(out)
 
 
-def kleene_star(A: TropicalMatrix, max_power: int | None = None) -> TropicalMatrix:
+def _outer_sum(out: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
+    """out[i,j] = col[i] + row[j] in a contiguous tile: filled with the
+    column, then the row added in place, which runs faster than one
+    broadcast add whose column operand has stride 0 along the inner axis."""
+    np.copyto(out, col[:, None])
+    np.add(out, row, out=out)
+
+
+def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
     """Closure I min A min A^2 min ... of a square matrix.
 
-    With ``max_power=None`` the full fixed point is computed by the
-    Floyd-Warshall recurrence (identical limit, O(n^3)); for inputs free of
-    negative cycles this is the all-pairs shortest-path matrix and the
-    series stabilizes at power n-1. A strictly negative diagonal entry
+    The fixed point is computed by the Floyd-Warshall recurrence (identical
+    limit, O(n^3)); for inputs free of negative cycles this is the
+    all-pairs shortest-path matrix. A strictly negative diagonal entry
     after closure means a negative-weight cycle exists and the series
     diverges, reported as NegativeCycleError.
 
-    With ``max_power=p`` the truncated partial sum through A^p is returned
-    instead, with no convergence claim (used to test stabilization).
+    Pivot k updates D a tile of TILE_ROWS rows at a time: the pivot column
+    plus the pivot row fill a contiguous scratch tile, and the minimum is
+    taken into D. Scratch memory is O(TILE_ROWS*n). Floyd-Warshall keeps a
+    symmetric D symmetric bit for bit, since fl(a+b) = fl(b+a), so for
+    symmetric input each tile updates only its columns from its own top row
+    rightwards; row k is read from column k above the diagonal, and the
+    lower triangle is mirrored at the end. Row and column k are copies
+    taken before the step, so the result equals the full-matrix step
+    D = min(D, D(:,k) + D(k,:)) bit for bit, a negative diagonal included.
     """
     a = _data_of(A)
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"closure needs a square matrix, got {a.shape}")
-    if max_power is not None:
-        if max_power < 0:
-            raise DomainError("max_power must be >= 0")
-        out = identity(n).data
-        power = identity(n).data
-        for _ in range(max_power):
-            power = _mp(power, a)
-            out = np.minimum(out, power)
-        return TropicalMatrix(out)
-    # in place, through one reused buffer: a fresh n x n array per step
-    # leaves the speed to the allocator's state (mmap threshold)
-    d = np.minimum(a, identity(n).data)
-    via_k = np.empty_like(d)
+    d = a.copy()
+    np.fill_diagonal(d, np.minimum(a.diagonal(), 0.0))  # D = A min I
+    symmetric = np.array_equal(d, d.T)
+    scratch = np.empty(min(TILE_ROWS, n) * n)
     for k in range(n):
-        np.add(d[:, k, None], d[k, None, :], out=via_k)
-        np.minimum(d, via_k, out=d)
+        if symmetric:  # row k left of the diagonal is stale: read column k there
+            col = row = np.concatenate((d[:k, k], d[k, k:]))
+        else:
+            col, row = d[:, k].copy(), d[k].copy()
+        for top in range(0, n, TILE_ROWS):
+            left = top if symmetric else 0
+            rows = d[top:top + TILE_ROWS, left:]
+            tile = scratch[: rows.size].reshape(rows.shape)
+            _outer_sum(tile, col[top:top + TILE_ROWS], row[left:])
+            np.minimum(rows, tile, out=rows)
+    if symmetric:
+        for top in range(TILE_ROWS, n, TILE_ROWS):
+            d[top:top + TILE_ROWS, :top] = d[:top, top:top + TILE_ROWS].T
     if (np.diag(d) < 0).any():
         raise NegativeCycleError("matrix contains a negative-weight cycle; the closure diverges")
     closure = TropicalMatrix(d)

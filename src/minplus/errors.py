@@ -27,7 +27,3 @@ class NegativeCycleError(DomainError):
 
 class UnboundedColumnError(DomainError):
     """A regression column has no finite entry, so no finite solution exists."""
-
-
-class ScaleRefusalError(MinPlusError):
-    """A brute-force oracle was asked for an instance too large to enumerate."""

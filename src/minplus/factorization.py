@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TropicalMatrix, _data_of, _mp, frobenius_distance, is_idempotent
+from .core import TILE_ROWS, TropicalMatrix, _data_of, _mp, _outer_sum, frobenius_distance, is_idempotent
 from .errors import DomainError, ShapeError
-from .regression import BATCH_ELEMENTS, RegressionConfig, _chebyshev_shift, _newton_batch
+from .regression import RegressionConfig, _chebyshev_shift, _newton_batch
 
 INFEASIBLE_HINT = "cap infinite entries first (the CLI exposes --cap for this)"
 
@@ -39,7 +39,9 @@ MU_FLOOR = 1e-3  # mu never decays below this
 NONSYM_TOL = 1e-8  # general driver: stop once no factor entry moves this far
 INNER_MAX_ITER = 50  # 2-norm regression steps per row or column sweep
 KMEANS_MAX_ITER = 50  # Lloyd iterations of the kmeans start
-SEARCH_TILE_ROWS = 64  # rows per tile of the pruned waypoint search
+# a block of symmetric starts holds P*n^2 <= max(n^2, this) entries (P = 4 at
+# n = 62); larger blocks measured no faster, and their arrays leave the cache
+SYM_BLOCK_ELEMENTS = 2**14
 # drop a candidate whose partial sum of squares exceeds best^2 by this much, far
 # above the rounding gap between tile sums and np.sum: it could neither win nor tie
 PRUNE_MARGIN = 1e-9
@@ -164,18 +166,22 @@ def actual_waypoint(D: TropicalMatrix, W) -> FactorPair:
 
 def _exceeds(d: np.ndarray, waypoints: tuple[int, ...], bound: float, product, term) -> bool:
     """Whether ||D - D(:,W) (x) D(:,W)^T||_F^2 > bound, summed over row tiles
-    of the (tile, n) scratch arrays, stopping at the first tile that crosses
-    it. D is symmetric, so row w is column w: each entry is _mp's sum."""
+    in the flat scratch arrays, stopping at the first tile that crosses it.
+    D and the product are symmetric, so a tile scores its diagonal block
+    once and the columns right of it twice, and every partial sum is a
+    lower bound of the total. Row w of D stands for column w."""
     total = 0.0
-    for top in range(0, d.shape[0], product.shape[0]):
-        rows = d[top:top + product.shape[0]]
-        tile, scratch = product[: len(rows)], term[: len(rows)]
-        np.add(rows[:, waypoints[0], None], d[waypoints[0]], out=tile)
+    for top in range(0, d.shape[0], TILE_ROWS):
+        rows = d[top:top + TILE_ROWS, top:]
+        h = len(rows)
+        tile, scratch = (buf[: rows.size].reshape(rows.shape) for buf in (product, term))
+        _outer_sum(tile, d[waypoints[0], top:top + h], d[waypoints[0], top:])
         for w in waypoints[1:]:
-            np.add(rows[:, w, None], d[w], out=scratch)
+            _outer_sum(scratch, d[w, top:top + h], d[w, top:])
             np.minimum(tile, scratch, out=tile)
         np.subtract(rows, tile, out=scratch)
-        total += float(np.vdot(scratch, scratch))
+        np.square(scratch, out=scratch)
+        total += float(scratch[:, :h].sum()) + 2.0 * float(scratch[:, h:].sum())
         if total > bound:
             return True
     return False
@@ -211,7 +217,7 @@ def actual_waypoint_search(
         )
         evaluated = budget
     best_w, best_left, best_res, bound = None, None, np.inf, np.inf
-    product = np.empty((min(SEARCH_TILE_ROWS, n), n))
+    product = np.empty(min(TILE_ROWS, n) * n)
     term = np.empty_like(product)
     for w in candidates:
         if _exceeds(d, w, bound, product, term):
@@ -387,9 +393,9 @@ def _sym_block(d: np.ndarray, f: np.ndarray, cfg: SymFactorConfig):
 
 def _sym_outcomes(d: np.ndarray, starts, cfg: SymFactorConfig):
     """Each start's outcome, in order. The starts run in blocks of
-    P*n^2 <= max(n^2, BATCH_ELEMENTS) entries, and a block runs only once
-    every outcome before it has been taken."""
-    size = max(d.size, BATCH_ELEMENTS) // d.size
+    P*n^2 <= max(n^2, SYM_BLOCK_ELEMENTS) entries, and a block runs only
+    once every outcome before it has been taken."""
+    size = max(d.size, SYM_BLOCK_ELEMENTS) // d.size
     while block := list(itertools.islice(starts, size)):
         yield from _sym_block(d, np.stack(block), cfg)
 
@@ -406,10 +412,10 @@ def sym_factorize(
     combination mu*new + (1-mu)*current. extra_inits supplies additional
     deterministic starting factors, run after the restarts (used by the
     rank-sweep CLI to warm-start from the previous rank). The starts run
-    as one batch, in blocks of P*n^2 <= max(n^2, BATCH_ELEMENTS) entries;
-    each start's result is bitwise its one-start result. The best iterate
-    over all starts wins; ties keep the earliest start, and no block runs
-    once a start has reached SYM_TOL.
+    as one batch, in blocks of P*n^2 <= max(n^2, SYM_BLOCK_ELEMENTS)
+    entries; each start's result is bitwise its one-start result. The best
+    iterate over all starts wins; ties keep the earliest start, and no
+    block runs once a start has reached SYM_TOL.
     """
     d = _check_symmetric_distance(D)
     _warn_if_not_idempotent(D)

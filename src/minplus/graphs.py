@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import INF, TropicalMatrix, kleene_star
-from .errors import DomainError, ParseError, ScaleRefusalError
-
-ORACLE_MAX_NODES = 7
-ORACLE_MAX_LENGTH = 5
+from .errors import DomainError, ParseError
 
 
 @dataclass(frozen=True)
@@ -270,42 +267,3 @@ def shortest_path_matrix(g: Graph) -> TropicalMatrix:
     idempotent result.
     """
     return kleene_star(graph_to_tropical(g))
-
-
-def oracle_min_path_fixed_length(A: TropicalMatrix, i: int, j: int, length: int) -> float:
-    """Minimum weight over all walks with exactly `length` edges from i to j.
-
-    Exhaustive enumeration, intended as an independent oracle for min-plus
-    powers at test scale only; larger instances are refused.
-    """
-    a = A.data
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("oracle needs a square matrix")
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"node index outside 0..{n - 1}")
-    if length < 0:
-        raise ValueError("walk length must be >= 0")
-    if n > ORACLE_MAX_NODES or length > ORACLE_MAX_LENGTH:
-        raise ScaleRefusalError(
-            f"instance too large to enumerate (n={n} > {ORACLE_MAX_NODES} or "
-            f"length={length} > {ORACLE_MAX_LENGTH})"
-        )
-    if length == 0:
-        return 0.0 if i == j else INF
-
-    best = INF
-
-    def walk(v: int, remaining: int, acc: float) -> None:
-        nonlocal best
-        if acc >= best:  # also prunes acc = inf once any finite walk is known
-            return
-        if remaining == 0:
-            if v == j:
-                best = acc
-            return
-        for u in range(n):
-            walk(u, remaining - 1, acc + a[v, u])
-
-    walk(i, length, 0.0)
-    return best

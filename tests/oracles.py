@@ -1,0 +1,80 @@
+"""Independent references for the closure layer, used by the tests only.
+
+oracle_min_path_fixed_length enumerates walks by brute force and refuses
+instances too large to enumerate; truncated_series sums the Kleene series
+through a given power; ref_kleene_star is the full-matrix Floyd-Warshall
+loop that the tiled kleene_star must match bit for bit.
+"""
+
+import numpy as np
+
+from minplus import INF, NegativeCycleError, TropicalMatrix, identity, mp_multiply
+
+ORACLE_MAX_NODES = 7
+ORACLE_MAX_LENGTH = 5
+
+
+class ScaleRefusalError(Exception):
+    """A brute-force oracle was asked for an instance too large to enumerate."""
+
+
+def oracle_min_path_fixed_length(A: TropicalMatrix, i: int, j: int, length: int) -> float:
+    """Minimum weight over all walks with exactly `length` edges from i to j.
+
+    Exhaustive enumeration, intended as an independent oracle for min-plus
+    powers at test scale only; larger instances are refused.
+    """
+    a = A.data
+    n = a.shape[0]
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("oracle needs a square matrix")
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"node index outside 0..{n - 1}")
+    if length < 0:
+        raise ValueError("walk length must be >= 0")
+    if n > ORACLE_MAX_NODES or length > ORACLE_MAX_LENGTH:
+        raise ScaleRefusalError(
+            f"instance too large to enumerate (n={n} > {ORACLE_MAX_NODES} or "
+            f"length={length} > {ORACLE_MAX_LENGTH})"
+        )
+    if length == 0:
+        return 0.0 if i == j else INF
+
+    best = INF
+
+    def walk(v: int, remaining: int, acc: float) -> None:
+        nonlocal best
+        if acc >= best:  # also prunes acc = inf once any finite walk is known
+            return
+        if remaining == 0:
+            if v == j:
+                best = acc
+            return
+        for u in range(n):
+            walk(u, remaining - 1, acc + a[v, u])
+
+    walk(i, length, 0.0)
+    return best
+
+
+def truncated_series(A: TropicalMatrix, max_power: int) -> TropicalMatrix:
+    """Partial sum I min A min ... min A^max_power, with no convergence claim."""
+    power = identity(A.rows)
+    out = power.data
+    for _ in range(max_power):
+        power = mp_multiply(power, A)
+        out = np.minimum(out, power.data)
+    return TropicalMatrix(out)
+
+
+def ref_kleene_star(a: np.ndarray) -> np.ndarray:
+    """Floyd-Warshall over the whole matrix at each pivot, through one n x n
+    buffer; raises NegativeCycleError on a negative diagonal."""
+    d = np.minimum(a, identity(len(a)).data)
+    via_k = np.empty_like(d)
+    for k in range(len(d)):
+        np.add(d[:, k, None], d[k, None, :], out=via_k)
+        np.minimum(d, via_k, out=d)
+    if (np.diag(d) < 0).any():
+        raise NegativeCycleError("negative-weight cycle")
+    return d

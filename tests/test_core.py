@@ -23,6 +23,7 @@ from minplus import (
 )
 
 from conftest import random_nonneg_graph_matrix
+from oracles import ref_kleene_star, truncated_series
 
 
 def test_matrix_rejects_nan_and_minus_inf():
@@ -164,10 +165,64 @@ def test_kleene_star_truncated_series(example_a):
     partial = identity(6)
     for p in range(1, 6):
         partial = TropicalMatrix(np.minimum(partial.data, mp_power(a, p).data))
-        got = kleene_star(a, max_power=p)
+        got = truncated_series(a, p)
         assert np.array_equal(got.data, partial.data)
     # non-negative weights: the series stabilizes at power n-1
-    assert np.array_equal(kleene_star(a, max_power=5).data, kleene_star(a).data)
+    assert np.array_equal(truncated_series(a, 5).data, kleene_star(a).data)
+
+
+def closure_cases(n):
+    """(name, one-hop matrix) pairs at size n: integer and real weights,
+    directed and undirected, two components, and a symmetric negative
+    entry, which closes a negative cycle."""
+    rng = np.random.default_rng(n)
+    base = rng.integers(1, 10, size=(n, n)).astype(float)
+    base[rng.random((n, n)) < 0.9] = INF
+    real = base * (0.1 * np.pi)
+    cut = np.zeros((n, n), dtype=bool)
+    cut[: n // 2, n // 2:] = True
+    cut |= cut.T
+    negative = np.minimum(base, base.T)
+    negative[0, min(1, n - 1)] = negative[min(1, n - 1), 0] = -1.0
+    return [
+        ("integer directed", base),
+        ("integer undirected", np.minimum(base, base.T)),
+        ("real directed", real),
+        ("real undirected", np.minimum(real, real.T)),
+        ("disconnected directed", np.where(cut, INF, real)),
+        ("disconnected undirected", np.where(cut, INF, np.minimum(real, real.T))),
+        ("symmetric negative entry", negative),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 200])
+def test_kleene_star_matches_full_matrix_reference(n):
+    # the row-tiled closure, upper triangle only on symmetric input, equals
+    # the full-matrix loop byte for byte on both sides of each tile edge
+    raised = 0
+    for name, a in closure_cases(n):
+        try:
+            expected = ref_kleene_star(a)
+        except NegativeCycleError:
+            raised += 1
+            with pytest.raises(NegativeCycleError):
+                kleene_star(TropicalMatrix(a))
+            continue
+        assert kleene_star(TropicalMatrix(a)).data.tobytes() == expected.tobytes(), name
+    assert raised == 1
+
+
+def test_kleene_star_memory_is_two_matrices_and_a_tile():
+    n = 300
+    rng = np.random.default_rng(301)
+    a = TropicalMatrix(random_nonneg_graph_matrix(rng, n, density=0.02))
+    tracemalloc.start()
+    try:
+        kleene_star(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8  # D, the closure's own copy, O(TILE_ROWS*n) scratch
 
 
 def test_kleene_star_idempotent_and_dominated():

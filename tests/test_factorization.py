@@ -176,11 +176,13 @@ def ref_waypoint_search(d, m, budget, seed):
 def test_pruned_search_matches_unpruned_reference():
     # W, residual bits and factors equal the full search: integer weights
     # 1..2 tie often, so the lexicographic rule decides; real weights do
-    # not. Above SEARCH_TILE_ROWS nodes a candidate can drop mid-matrix.
+    # not. Above TILE_ROWS nodes a candidate can drop mid-matrix; trials
+    # from 16 on span three row tiles.
     rng = np.random.default_rng(37)
     exhaustive = sampled = 0
-    for trial in range(16):
-        n = int(rng.integers(6, 12)) if trial % 8 else int(rng.integers(65, 80))
+    for trial in range(20):
+        low, high = (129, 140) if trial >= 16 else (6, 12) if trial % 8 else (65, 80)
+        n = int(rng.integers(low, high))
         d = kleene_star(TropicalMatrix(random_nonneg_graph_matrix(rng, n, density=0.3, high=2))).data
         if np.isinf(d).any():
             continue
@@ -343,7 +345,7 @@ def test_sym_factorize_memory_is_quadratic():
 
 
 def test_sym_factorize_block_memory_is_bounded():
-    n = 100  # 12 restarts run in two blocks of 6 starts
+    n = 50  # 12 restarts run in two blocks of 6 starts
     rng = np.random.default_rng(100)
     d = kleene_star(TropicalMatrix(random_nonneg_graph_matrix(rng, n, density=0.1))).data
     cfg = SymFactorConfig(rank=8, max_iter=1, restarts=12, seed=0)
@@ -353,7 +355,7 @@ def test_sym_factorize_block_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * max(n * n, factorization.BATCH_ELEMENTS) * 8  # a few block-sized arrays
+    assert peak < 16 * max(n * n, factorization.SYM_BLOCK_ELEMENTS) * 8  # a few block-sized arrays
 
 
 def ref_sym_run(d, f, cfg):
@@ -426,7 +428,7 @@ def test_sym_batch_matches_one_start_path(starts_per_block, monkeypatch):
     decays, outcomes = 0, {}
     for name, d, cfg, extras in sym_batch_cases():
         if starts_per_block is not None:
-            monkeypatch.setattr(factorization, "BATCH_ELEMENTS", starts_per_block * d.size)
+            monkeypatch.setattr(factorization, "SYM_BLOCK_ELEMENTS", starts_per_block * d.size)
         residual, f, trace, runs, case_decays = ref_sym_factorize(d, cfg, extras)
         pair = sym_factorize(d, cfg, extra_inits=extras)
         assert pair.residual == residual, name

@@ -4,7 +4,10 @@ The input, golden/graph30.edges, is a fixed weighted graph: 30 nodes and
 75 edges (a random spanning tree plus chords, integer weights 1..9).
 golden/graph30_real.edges is the same graph with every weight scaled by
 0.1*pi and written with 17 significant digits, so its distances are not
-integers and rounding shows. Each case runs one CLI command on one of
+integers and rounding shows. golden/graph150_real.edges is a larger graph
+of the same kind: 150 nodes and 375 edges (a random spanning tree plus
+chords) with weights 0.1*pi*(1..9), enough to span three row tiles of
+the closure and the waypoint scan. Each case runs one CLI command on one of
 them and compares every data file it writes with the copy under
 golden/<case>/. Reports are not compared; they hold timings.
 
@@ -24,6 +27,7 @@ from minplus.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 GRAPH = GOLDEN / "graph30.edges"
 REAL_GRAPH = GOLDEN / "graph30_real.edges"
+TILES_GRAPH = GOLDEN / "graph150_real.edges"
 FACTOR_FILES = ("factors.json", "factors_left.csv", "factors_right.csv")
 
 CASES = {
@@ -89,6 +93,13 @@ CASES = {
         ["factor", "--mode", "actual", "--rank", "3", "--seed", "7"],
         FACTOR_FILES,
         REAL_GRAPH,
+    ),
+    # 150 nodes span three row tiles of the closure and the waypoint scan
+    "spd-tiles": (["spd"], ("spd.csv",), TILES_GRAPH),
+    "factor-actual-tiles": (
+        ["factor", "--mode", "actual", "--rank", "5", "--budget", "400", "--seed", "7"],
+        FACTOR_FILES,
+        TILES_GRAPH,
     ),
 }
 

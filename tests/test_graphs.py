@@ -8,7 +8,6 @@ from minplus import (
     DomainError,
     Graph,
     ParseError,
-    ScaleRefusalError,
     TropicalMatrix,
     graph_to_adjacency,
     graph_to_tropical,
@@ -17,12 +16,12 @@ from minplus import (
     load_gml_subset,
     mp_multiply,
     mp_power,
-    oracle_min_path_fixed_length,
     render_edge_list,
     shortest_path_matrix,
 )
 
 from conftest import random_nonneg_graph_matrix
+from oracles import ScaleRefusalError, oracle_min_path_fixed_length
 
 GML_TRIANGLE = """
 graph [
