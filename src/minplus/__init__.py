@@ -11,13 +11,11 @@ from .core import (
     INF,
     TropicalMatrix,
     frobenius_distance,
-    identity,
     is_idempotent,
     kleene_star,
     mp_multiply,
     mp_power,
     read_matrix_csv,
-    tropical_allclose,
     write_matrix_csv,
 )
 from .errors import (
@@ -45,14 +43,12 @@ from .graphs import (
     graph_to_tropical,
     load_edge_list,
     load_gml_subset,
-    render_edge_list,
     shortest_path_matrix,
 )
 from .regression import (
     RegressionConfig,
     RegressionOutcome,
     chebyshev_regression,
-    min_plus_apply,
     newton_directed_line_search,
     principal_solution,
 )
@@ -82,13 +78,11 @@ __all__ = [
     "frobenius_distance",
     "graph_to_adjacency",
     "graph_to_tropical",
-    "identity",
     "is_idempotent",
     "jacobi_map",
     "kleene_star",
     "load_edge_list",
     "load_gml_subset",
-    "min_plus_apply",
     "mp_multiply",
     "mp_power",
     "newton_directed_line_search",
@@ -96,12 +90,10 @@ __all__ = [
     "nonsym_factorize",
     "principal_solution",
     "read_matrix_csv",
-    "render_edge_list",
     "residual_of_given_factor",
     "shortest_path_matrix",
     "svd",
     "svd_truncate",
     "sym_factorize",
-    "tropical_allclose",
     "write_matrix_csv",
 ]

@@ -85,11 +85,13 @@ def nnmf(M, m: int, iters: int = 2000, seed: int = 0) -> NnmfResult:
     rng = np.random.default_rng(seed)
     w = np.maximum(rng.uniform(0.0, 1.0, size=(n, m)), NNMF_EPS)
     h = np.maximum(rng.uniform(0.0, 1.0, size=(m, d)), NNMF_EPS)
-    trace = [float(np.linalg.norm(m_mat - w @ h))]
-    for _ in range(iters):
-        h *= (w.T @ m_mat) / np.maximum(w.T @ w @ h, NNMF_EPS)
-        h = np.maximum(h, NNMF_EPS)
-        w *= (m_mat @ h.T) / np.maximum(w @ h @ h.T, NNMF_EPS)
-        w = np.maximum(w, NNMF_EPS)
-        trace.append(float(np.linalg.norm(m_mat - w @ h)))
+    gap, trace = np.empty((n, d)), []  # gap holds w @ h, then m_mat - w @ h
+    for step in range(iters + 1):
+        if step:
+            h *= (w.T @ m_mat) / np.maximum(w.T @ w @ h, NNMF_EPS)
+            h = np.maximum(h, NNMF_EPS)
+            w *= (m_mat @ h.T) / np.maximum(w @ h @ h.T, NNMF_EPS)
+            w = np.maximum(w, NNMF_EPS)
+        np.matmul(w, h, out=gap)
+        trace.append(float(np.linalg.norm(np.subtract(m_mat, gap, out=gap))))
     return NnmfResult(W=w, H=h, residual_trace=tuple(trace))

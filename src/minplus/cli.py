@@ -112,9 +112,7 @@ def _apply_cap(matrix: TropicalMatrix, cap: float | None) -> TropicalMatrix:
         raise UsageError(f"--cap {cap:g} is too large: twice it overflows")
     if not infinite.any():
         return matrix
-    data = matrix.data.copy()
-    data[infinite] = cap
-    return TropicalMatrix(data)
+    return TropicalMatrix._wrap(np.where(infinite, cap, matrix.data))
 
 
 def _distance_input(args) -> tuple[TropicalMatrix, tuple[str, ...]]:
@@ -266,15 +264,15 @@ def _cmd_baseline(args, out_dir: Path):
         if not np.isfinite(data).all():
             raise DomainError("svd needs a finite matrix; use --cap for infinite entries")
         approx, rel = svd_truncate(data, args.rank)
-        out_path = _write(out_dir / args.out, write_matrix_csv(TropicalMatrix(approx)))
+        out_path = _write(out_dir / args.out, write_matrix_csv(approx))
         return [out_path], {"relative_residual": rel}
     result = nnmf(data, args.rank, iters=args.iters, seed=args.seed)
     norm = float(np.linalg.norm(data))
     final = result.residual_trace[-1]
     stem = Path(args.out).stem
     outputs = [
-        _write(out_dir / f"{stem}_w.csv", write_matrix_csv(TropicalMatrix(result.W))),
-        _write(out_dir / f"{stem}_h.csv", write_matrix_csv(TropicalMatrix(result.H))),
+        _write(out_dir / f"{stem}_w.csv", write_matrix_csv(result.W)),
+        _write(out_dir / f"{stem}_h.csv", write_matrix_csv(result.H)),
         _write(
             out_dir / f"{stem}_trace.csv",
             "".join(f"{v:.17g}\n" for v in result.residual_trace),

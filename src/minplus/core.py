@@ -5,6 +5,9 @@ is ordinary +, so +inf is the additive identity (it never wins a min) and
 absorbs products, while 0 is the multiplicative identity. NaN and -inf are
 rejected at construction: without -inf the sum of any two entries is well
 defined, so no inf - inf indeterminacy can ever arise downstream.
+Entries are checked once per matrix: at the boundary, where the public
+constructor copies its argument, and once, without a copy, when the
+package wraps a matrix it built, since finite sums can overflow to -inf.
 """
 
 from __future__ import annotations
@@ -33,13 +36,14 @@ class TropicalMatrix:
         data = np.array(entries, dtype=float)
         if data.ndim != 2:
             raise ShapeError(f"matrix entries must form a 2-d table, got {data.ndim}-d")
-        if np.isnan(data).any():
-            raise DomainError("NaN entries are not representable")
-        if np.isneginf(data).any():
-            raise DomainError("-inf entries are not representable")
-        data.setflags(write=False)
-        self._data = data
-        self._idempotent = None
+        self._data, self._idempotent = _checked(data), None
+
+    @classmethod
+    def _wrap(cls, data: np.ndarray) -> "TropicalMatrix":
+        """Own a 2-d float array the package just built and nothing else writes: checked, not copied."""
+        matrix = cls.__new__(cls)
+        matrix._data, matrix._idempotent = _checked(data), None
+        return matrix
 
     @property
     def data(self) -> np.ndarray:
@@ -58,24 +62,31 @@ class TropicalMatrix:
         return self._data.shape
 
     def transpose(self) -> "TropicalMatrix":
-        return TropicalMatrix(self._data.T)
+        return TropicalMatrix._wrap(self._data.T)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TropicalMatrix({self.rows}x{self.cols})"
 
 
+def _checked(data: np.ndarray) -> np.ndarray:
+    """data, read-only, once one min reduction shows no NaN and no -inf entry."""
+    low = data.min(initial=INF)  # NaN propagates; an empty array gives inf
+    if np.isnan(low):
+        raise DomainError("NaN entries are not representable")
+    if low == -INF:
+        raise DomainError("-inf entries are not representable")
+    data.setflags(write=False)
+    return data
+
+
+def _as_matrix(m) -> TropicalMatrix:
+    """m itself if it is a TropicalMatrix, else a checked copy of it."""
+    return m if isinstance(m, TropicalMatrix) else TropicalMatrix(m)
+
+
 def _data_of(m) -> np.ndarray:
     """Validated float array behind a TropicalMatrix or array-like."""
-    if isinstance(m, TropicalMatrix):
-        return m.data
-    return TropicalMatrix(m).data
-
-
-def identity(n: int) -> TropicalMatrix:
-    """Min-plus identity: 0 on the diagonal, +inf elsewhere."""
-    data = np.full((n, n), INF)
-    np.fill_diagonal(data, 0.0)
-    return TropicalMatrix(data)
+    return _as_matrix(m).data
 
 
 def _mp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,7 +113,7 @@ def mp_multiply(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
     a, b = _data_of(A), _data_of(B)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return TropicalMatrix(_mp(a, b))
+    return TropicalMatrix._wrap(_mp(a, b))
 
 
 def mp_power(A: TropicalMatrix, k: int) -> TropicalMatrix:
@@ -112,10 +123,11 @@ def mp_power(A: TropicalMatrix, k: int) -> TropicalMatrix:
         raise ShapeError(f"power needs a square matrix, got {a.shape}")
     if k < 0:
         raise DomainError("negative powers are not defined")
-    out = identity(a.shape[0]).data
+    out = np.full(a.shape, INF)
+    np.fill_diagonal(out, 0.0)
     for _ in range(k):
         out = _mp(out, a)
-    return TropicalMatrix(out)
+    return TropicalMatrix._wrap(out)
 
 
 def _outer_sum(out: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
@@ -169,7 +181,7 @@ def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
             d[top:top + TILE_ROWS, :top] = d[:top, top:top + TILE_ROWS].T
     if (np.diag(d) < 0).any():
         raise NegativeCycleError("matrix contains a negative-weight cycle; the closure diverges")
-    closure = TropicalMatrix(d)
+    closure = TropicalMatrix._wrap(d)
     closure._idempotent = True  # a closure without negative cycles is idempotent
     return closure
 
@@ -181,14 +193,6 @@ def _entries_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
         return False
     finite = ~a_inf
     return bool(np.all(np.abs(a[finite] - b[finite]) <= tol))
-
-
-def tropical_allclose(A: TropicalMatrix, B: TropicalMatrix, tol: float = 1e-9) -> bool:
-    """Entrywise comparison where inf matches only inf; tol=0 is exact."""
-    a, b = _data_of(A), _data_of(B)
-    if a.shape != b.shape:
-        return False
-    return _entries_close(a, b, tol)
 
 
 def is_idempotent(A: TropicalMatrix, tol: float = 1e-9) -> bool:
@@ -240,8 +244,8 @@ def read_matrix_csv(text: str) -> TropicalMatrix:
             raise ParseError(f"line {lineno}: expected {width} entries, got {len(values)}")
         rows.append(values)
     if not rows:
-        return TropicalMatrix(np.empty((0, 0)))
-    return TropicalMatrix(np.array(rows))
+        return TropicalMatrix._wrap(np.empty((0, 0)))
+    return TropicalMatrix._wrap(np.array(rows))
 
 
 def write_matrix_csv(M: TropicalMatrix) -> str:

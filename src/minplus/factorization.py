@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TILE_ROWS, TropicalMatrix, _data_of, _mp, _outer_sum, frobenius_distance, is_idempotent
+from .core import TILE_ROWS, TropicalMatrix, _as_matrix, _data_of, _mp, _outer_sum
+from .core import frobenius_distance, is_idempotent
 from .errors import DomainError, ShapeError
 from .regression import RegressionConfig, _chebyshev_shift, _newton_batch
 
@@ -107,20 +108,15 @@ class NonsymFactorConfig:
 
 
 def _check_symmetric_distance(D: TropicalMatrix) -> np.ndarray:
-    d = _data_of(D)
+    """D's array, once square, symmetric and finite; warns (once per matrix) unless D (x) D = D."""
+    D = _as_matrix(D)
+    d = D.data
     if d.shape[0] != d.shape[1]:
         raise ShapeError(f"expected a square matrix, got {d.shape}")
     if not np.array_equal(d, d.T):
         raise ShapeError("matrix is not symmetric")
     if not np.isfinite(d).all():
         raise DomainError(f"matrix has non-finite entries; {INFEASIBLE_HINT}")
-    return d
-
-
-def _warn_if_not_idempotent(D: TropicalMatrix) -> None:
-    """Warn unless D (x) D = D, checking each TropicalMatrix at most once."""
-    if not isinstance(D, TropicalMatrix):
-        D = TropicalMatrix(D)
     if D._idempotent is None:  # closures are marked idempotent by kleene_star
         D._idempotent = is_idempotent(D, tol=1e-9)
     if not D._idempotent:
@@ -130,6 +126,7 @@ def _warn_if_not_idempotent(D: TropicalMatrix) -> None:
             UserWarning,
             stacklevel=3,
         )
+    return d
 
 
 def _waypoint_product(d: np.ndarray, waypoints: tuple[int, ...]) -> tuple[np.ndarray, float]:
@@ -140,7 +137,8 @@ def _waypoint_product(d: np.ndarray, waypoints: tuple[int, ...]) -> tuple[np.nda
 
 
 def _waypoint_pair(left: np.ndarray, residual: float, evaluated: int) -> FactorPair:
-    return FactorPair(TropicalMatrix(left), TropicalMatrix(left.T), residual, evaluated, (residual,))
+    left = TropicalMatrix._wrap(left)
+    return FactorPair(left, left.transpose(), residual, evaluated, (residual,))
 
 
 def actual_waypoint(D: TropicalMatrix, W) -> FactorPair:
@@ -151,7 +149,6 @@ def actual_waypoint(D: TropicalMatrix, W) -> FactorPair:
     entrywise and is exact on rows and columns indexed by W.
     """
     d = _check_symmetric_distance(D)
-    _warn_if_not_idempotent(D)
     waypoints = tuple(int(w) for w in W)
     n = d.shape[0]
     if len(waypoints) == 0:
@@ -199,7 +196,6 @@ def actual_waypoint_search(
     toward the lexicographically smallest W.
     """
     d = _check_symmetric_distance(D)
-    _warn_if_not_idempotent(D)
     n = d.shape[0]
     if not (1 <= m <= n):
         raise ValueError(f"rank must lie in 1..{n}")
@@ -312,7 +308,7 @@ def jacobi_map(D: TropicalMatrix, F: TropicalMatrix, Fp: TropicalMatrix) -> Trop
     if not (np.isfinite(d).all() and np.isfinite(f).all() and np.isfinite(fp).all()):
         raise DomainError("jacobi_map needs finite inputs")
     setup = _jacobi_setup(d, _sym_product(f[None])[1], f.shape[1])
-    return TropicalMatrix(_jacobi_apply(setup, fp[None])[0])
+    return TropicalMatrix._wrap(_jacobi_apply(setup, fp[None])[0])
 
 
 def _checked_inits(inits, *shapes: tuple[int, int]) -> list[tuple[np.ndarray, ...]]:
@@ -341,7 +337,7 @@ def _best_of_starts(outcomes, target: float = -np.inf) -> FactorPair:
         if best[0] <= target:
             break
     res, left, right, trace = best
-    return FactorPair(TropicalMatrix(left), TropicalMatrix(right), res, runs, tuple(trace))
+    return FactorPair(TropicalMatrix._wrap(left), TropicalMatrix._wrap(right), res, runs, tuple(trace))
 
 
 def _sym_residuals(d: np.ndarray, product: np.ndarray) -> np.ndarray:
@@ -418,7 +414,6 @@ def sym_factorize(
     block runs once a start has reached SYM_TOL.
     """
     d = _check_symmetric_distance(D)
-    _warn_if_not_idempotent(D)
     n = d.shape[0]
     if cfg.rank > n:
         raise ValueError(f"rank {cfg.rank} exceeds matrix size {n}")
@@ -432,13 +427,12 @@ def sym_factorize(
 
 def residual_of_given_factor(D: TropicalMatrix, F: TropicalMatrix) -> float:
     """||D - F (x) F^T||_F for a user-supplied factor."""
-    d = _data_of(D)
-    f = _data_of(F)
-    if d.shape[0] != d.shape[1]:
-        raise ShapeError(f"expected a square matrix, got {d.shape}")
-    if f.shape[0] != d.shape[0]:
-        raise ShapeError(f"factor has {f.shape[0]} rows, matrix has {d.shape[0]}")
-    return frobenius_distance(D, TropicalMatrix(_mp(f, f.T)))
+    D, f = _as_matrix(D), _data_of(F)
+    if D.rows != D.cols:
+        raise ShapeError(f"expected a square matrix, got {D.shape}")
+    if f.shape[0] != D.rows:
+        raise ShapeError(f"factor has {f.shape[0]} rows, matrix has {D.rows}")
+    return frobenius_distance(D, TropicalMatrix._wrap(_mp(f, f.T)))
 
 
 def _kmeans_columns(m_data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -97,14 +97,6 @@ def load_edge_list(text: str, directed: bool = False) -> Graph:
     return Graph(tuple(order), _min_weight_edges(keyed), directed)
 
 
-def render_edge_list(g: Graph) -> str:
-    """Inverse of load_edge_list up to edge ordering and formatting."""
-    lines = [
-        f"{g.node_labels[u]} {g.node_labels[v]} {format(w, '.17g')}" for u, v, w in g.edges
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def _tokenize_gml(text: str) -> list[str]:
     tokens: list[str] = []
     i = 0
@@ -244,7 +236,7 @@ def graph_to_tropical(g: Graph) -> TropicalMatrix:
         data[u, v] = min(data[u, v], w)
         if not g.directed:
             data[v, u] = min(data[v, u], w)
-    return TropicalMatrix(data)
+    return TropicalMatrix._wrap(data)
 
 
 def graph_to_adjacency(g: Graph) -> np.ndarray:

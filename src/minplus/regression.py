@@ -42,17 +42,6 @@ class RegressionOutcome:
     residual_trace: tuple[float, ...] = field(default=())
 
 
-def min_plus_apply(A: TropicalMatrix, x: np.ndarray) -> np.ndarray:
-    """A (x) x for a vector x: component i is min_j(a_ij + x_j)."""
-    a = _data_of(A)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (a.shape[1],):
-        raise DomainError(f"vector length {x.shape} does not match {a.shape[1]} columns")
-    if a.shape[1] == 0:
-        return np.full(a.shape[0], INF)
-    return np.min(a + x[None, :], axis=1)
-
-
 def _check_rhs(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (a.shape[0],):
@@ -60,6 +49,13 @@ def _check_rhs(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     if not np.isfinite(y).all():
         raise DomainError("rhs must be finite")
     return y
+
+
+def _check_rows_finite(a: np.ndarray) -> None:
+    has_finite = np.isfinite(a).any(axis=1)
+    if not has_finite.all():
+        i = int(np.argmin(has_finite))
+        raise DomainError(f"row {i} has no finite entry; the residual is always inf")
 
 
 def principal_solution(A: TropicalMatrix, y: np.ndarray) -> np.ndarray:
@@ -92,11 +88,9 @@ def chebyshev_regression(A: TropicalMatrix, y: np.ndarray) -> RegressionOutcome:
     a = _data_of(A)
     y = _check_rhs(a, y)
     xhat = _principal_solution(a, y)
-    if not np.isfinite(a).any(axis=1).all():
-        i = int(np.argmin(np.isfinite(a).any(axis=1)))
-        raise DomainError(f"row {i} has no finite entry; the sup-norm residual is always inf")
+    _check_rows_finite(a)
     solution = _chebyshev_shift(a, y, xhat)
-    residual = float(np.max(np.abs(min_plus_apply(A, solution) - y)))
+    residual = float(np.max(np.abs(_mp(a, solution[:, None])[:, 0] - y)))
     return RegressionOutcome(solution, residual, "inf", 0, True, (residual,))
 
 
@@ -274,9 +268,7 @@ def newton_directed_line_search(
     cfg = cfg or RegressionConfig()
     a = _data_of(A)
     y = _check_rhs(a, y)
-    if not np.isfinite(a).any(axis=1).all():
-        i = int(np.argmin(np.isfinite(a).any(axis=1)))
-        raise DomainError(f"row {i} has no finite entry; the residual is always inf")
+    _check_rows_finite(a)
     if x0 is None:
         x = _chebyshev_shift(a, y, _principal_solution(a, y))
     else:

@@ -1,17 +1,54 @@
-"""Independent references for the closure layer, used by the tests only.
+"""Independent references and helpers used by the tests only.
 
 oracle_min_path_fixed_length enumerates walks by brute force and refuses
 instances too large to enumerate; truncated_series sums the Kleene series
 through a given power; ref_kleene_star is the full-matrix Floyd-Warshall
-loop that the tiled kleene_star must match bit for bit.
+loop that the tiled kleene_star must match bit for bit. identity,
+tropical_allclose, min_plus_apply and render_edge_list were public names
+of the package that only tests called.
 """
 
 import numpy as np
 
-from minplus import INF, NegativeCycleError, TropicalMatrix, identity, mp_multiply
+from minplus import INF, DomainError, Graph, NegativeCycleError, TropicalMatrix, mp_multiply
 
 ORACLE_MAX_NODES = 7
 ORACLE_MAX_LENGTH = 5
+
+
+def identity(n: int) -> TropicalMatrix:
+    """Min-plus identity: 0 on the diagonal, +inf elsewhere."""
+    data = np.full((n, n), INF)
+    np.fill_diagonal(data, 0.0)
+    return TropicalMatrix(data)
+
+
+def tropical_allclose(A: TropicalMatrix, B: TropicalMatrix, tol: float = 1e-9) -> bool:
+    """Entrywise comparison where inf matches only inf; tol=0 is exact."""
+    a, b = A.data, B.data
+    if a.shape != b.shape or not np.array_equal(np.isinf(a), np.isinf(b)):
+        return False
+    finite = ~np.isinf(a)
+    return bool(np.all(np.abs(a[finite] - b[finite]) <= tol))
+
+
+def min_plus_apply(A: TropicalMatrix, x: np.ndarray) -> np.ndarray:
+    """A (x) x for a vector x: component i is min_j(a_ij + x_j)."""
+    a = A.data
+    x = np.asarray(x, dtype=float)
+    if x.shape != (a.shape[1],):
+        raise DomainError(f"vector length {x.shape} does not match {a.shape[1]} columns")
+    if a.shape[1] == 0:
+        return np.full(a.shape[0], INF)
+    return np.min(a + x[None, :], axis=1)
+
+
+def render_edge_list(g: Graph) -> str:
+    """Inverse of load_edge_list up to edge ordering and formatting."""
+    lines = [
+        f"{g.node_labels[u]} {g.node_labels[v]} {format(w, '.17g')}" for u, v, w in g.edges
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 class ScaleRefusalError(Exception):

@@ -479,6 +479,10 @@ def test_numerical_errors_exit_4(tmp_path):
     neg = tmp_path / "neg.edges"
     neg.write_text("a b -1\n")
     assert main(["spd", "--input", str(neg), "--out-dir", str(tmp_path)]) == 4
+    dag = tmp_path / "dag.csv"  # finite weights whose closure overflows to -inf, then NaN
+    dag.write_text("0,-1e308,inf\ninf,0,-1e308\ninf,inf,0\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["spd", "--input", str(dag), "--out-dir", str(tmp_path)]) == 4
 
 
 @pytest.mark.parametrize(

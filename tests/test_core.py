@@ -12,18 +12,16 @@ from minplus import (
     ShapeError,
     TropicalMatrix,
     frobenius_distance,
-    identity,
     is_idempotent,
     kleene_star,
     mp_multiply,
     mp_power,
     read_matrix_csv,
-    tropical_allclose,
     write_matrix_csv,
 )
 
 from conftest import random_nonneg_graph_matrix
-from oracles import ref_kleene_star, truncated_series
+from oracles import identity, ref_kleene_star, tropical_allclose, truncated_series
 
 
 def test_matrix_rejects_nan_and_minus_inf():
@@ -42,6 +40,33 @@ def test_matrix_is_immutable():
     m = TropicalMatrix([[1.0, 2.0]])
     with pytest.raises((ValueError, AttributeError)):
         m.data[0, 0] = 5.0
+
+
+def test_built_matrices_are_checked_for_overflow():
+    # finite sums can overflow, so a matrix the package builds is checked too
+    dag = TropicalMatrix([[0.0, -1e308, INF], [INF, 0.0, -1e308], [INF, INF, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="NaN"):
+            kleene_star(dag)
+        with pytest.raises(DomainError, match="-inf"):
+            mp_multiply(TropicalMatrix([[-1e308]]), TropicalMatrix([[-1e308]]))
+
+
+def test_built_matrices_keep_their_bytes_and_are_immutable():
+    data = np.random.default_rng(8).standard_normal((4, 3))
+    data[0, 1] = INF
+    m = TropicalMatrix(data)
+    square = TropicalMatrix(np.abs(data[:3]))
+    built = {
+        "transpose": (m.transpose(), data.T),
+        "csv": (read_matrix_csv(write_matrix_csv(m)), data),
+        "product": (mp_multiply(m, m.transpose()), None),
+        "closure": (kleene_star(square), None),
+    }
+    for name, (matrix, expected) in built.items():
+        if expected is not None:
+            assert matrix.data.tobytes() == expected.tobytes(), name
+        assert not matrix.data.flags.writeable, name
 
 
 def test_identity_is_neutral():
@@ -212,7 +237,7 @@ def test_kleene_star_matches_full_matrix_reference(n):
     assert raised == 1
 
 
-def test_kleene_star_memory_is_two_matrices_and_a_tile():
+def test_kleene_star_memory_is_one_matrix_and_a_tile():
     n = 300
     rng = np.random.default_rng(301)
     a = TropicalMatrix(random_nonneg_graph_matrix(rng, n, density=0.02))
@@ -222,7 +247,7 @@ def test_kleene_star_memory_is_two_matrices_and_a_tile():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * n * n * 8  # D, the closure's own copy, O(TILE_ROWS*n) scratch
+    assert peak < 1.7 * n * n * 8  # D, a bool symmetry test, O(TILE_ROWS*n) scratch; no copy of D
 
 
 def test_kleene_star_idempotent_and_dominated():

@@ -101,6 +101,11 @@ CASES = {
         FACTOR_FILES,
         TILES_GRAPH,
     ),
+    # multiplicative updates on the raw adjacency: factors and residual trace
+    "baseline-nnmf": (
+        ["baseline", "--method", "nnmf", "--rank", "3", "--iters", "300", "--seed", "7"],
+        ("baseline_w.csv", "baseline_h.csv", "baseline_trace.csv"),
+    ),
 }
 
 

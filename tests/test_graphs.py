@@ -16,12 +16,11 @@ from minplus import (
     load_gml_subset,
     mp_multiply,
     mp_power,
-    render_edge_list,
     shortest_path_matrix,
 )
 
 from conftest import random_nonneg_graph_matrix
-from oracles import ScaleRefusalError, oracle_min_path_fixed_length
+from oracles import ScaleRefusalError, oracle_min_path_fixed_length, render_edge_list
 
 GML_TRIANGLE = """
 graph [

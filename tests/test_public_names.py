@@ -1,5 +1,6 @@
 """Public names: what BENCHMARK.json's per-layer metrics and minplus.__all__ name."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -9,6 +10,8 @@ from pathlib import Path
 import minplus
 
 BENCHMARK = Path(__file__).parent.parent / "BENCHMARK.json"
+PACKAGE = Path(minplus.__file__).parent
+ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
 SPAN_METRIC = re.compile(r"(\w+)\.(\w+)\.(?:calls|busy_s|peak_mb)")
 
 
@@ -30,3 +33,33 @@ def test_every_exported_name_resolves():
     assert len(set(minplus.__all__)) == len(minplus.__all__)
     for name in minplus.__all__:
         assert hasattr(minplus, name), f"minplus.__all__ names missing {name}"
+
+
+def _names_used_in_package() -> set[str]:
+    """Names each module of the package reads, outside the top-level
+    definition of the same name; the re-exports in __init__ do not count."""
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name is not None and name != own:
+                    used.add(name)
+    return used
+
+
+def test_every_exported_name_has_a_caller():
+    # a public name that only unit tests call belongs in the tests
+    used = _names_used_in_package()
+    tree = ast.parse(ACCEPTANCE.read_text())
+    accepted = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "minplus"
+        for alias in node.names
+    }
+    unused = [name for name in minplus.__all__ if name not in used | accepted]
+    assert unused == [], f"exported but used neither in the package nor the acceptance tests: {unused}"

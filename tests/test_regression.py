@@ -12,12 +12,12 @@ from minplus import (
     TropicalMatrix,
     UnboundedColumnError,
     chebyshev_regression,
-    identity,
-    min_plus_apply,
     newton_directed_line_search,
     principal_solution,
 )
 from minplus import regression as reg
+
+from oracles import identity, min_plus_apply
 
 
 def residual_sq(A, y, x):
