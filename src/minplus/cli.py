@@ -13,6 +13,7 @@ error (negative cycle, infinite entries in a finite objective).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -370,6 +371,7 @@ def _cmd_assign(args, out_dir: Path):
     return [out_path], {"nonpositive_entries": nonpositive, "sentinel": "inf"}
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one per process serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minplus",

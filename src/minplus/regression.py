@@ -4,11 +4,11 @@ Given A (n x d, entries in R or +inf) and finite y (length n), approximate
 y by A (x) x. The sup-norm problem has a closed form built on the
 principal solution of A (x) x >= y. The 2-norm residual is piecewise
 quadratic in x: each row i is governed by whichever column attains
-min_j(a_ij + x_j), so the domain splits into polyhedral pieces separated
-by the tie surface where some row's argmin is not unique. The 2-norm
-solver repeatedly forms the piecewise Newton target and takes an exact
-line search toward it, which makes the residual non-increasing.
-Independent problems that share one design matrix run as one batch.
+min_j(a_ij + x_j), and pieces meet on the tie surface where some row's
+argmin is not unique. The 2-norm solver alternates the piecewise Newton
+target with an exact line search toward it, so the residual never rises.
+Problems sharing one design run as one batch. Past a few passes over the
+whole table, a step works only on tied rows and rows whose piece changes.
 """
 
 from __future__ import annotations
@@ -104,89 +104,94 @@ def _chebyshev_shift(a: np.ndarray, Y: np.ndarray, xhat: np.ndarray) -> np.ndarr
 
 
 def _newton_targets(
-    a: np.ndarray, Y: np.ndarray, X: np.ndarray, sel: np.ndarray, near: np.ndarray
+    a: np.ndarray, Y: np.ndarray, X: np.ndarray, sel: np.ndarray, tied: np.ndarray, near: np.ndarray
 ) -> np.ndarray:
     """Newton targets (p, d) of p problems against one design, restricted
     to directions tangent to the tie surface: columns tied within a row,
     transitively, form a group that moves by one common increment, the
     mean of y_i - a_ik - x_k over the rows selecting one of its columns,
-    summed in row order. Groups selected by no row stay frozen.
-
-    Y, X and sel hold one problem per row, near is (d, p, n) as in
-    _newton_batch. Labels propagate through near in at most d rounds, and
-    bincounts over problem*d + group sum each group's rows in row order.
+    summed in row order. Groups selected by no row stay frozen. Y, X, sel
+    and the mask tied hold one problem per row; near (d, t) marks each tied
+    row's columns within TIE_TOL of its minimum. Only tied rows merge
+    groups: labels spread by scatter-min over their near columns alone.
     """
-    d, p, n = near.shape
-    labels = np.broadcast_to(np.arange(d)[:, None], (d, p))
-    while True:
-        row_label = np.where(near, labels[:, :, None], d).min(axis=0)
-        merged = np.minimum(labels, np.where(near, row_label, d).min(axis=2, initial=d))
-        if np.array_equal(merged, labels):
+    (p, n), d = Y.shape, X.shape[1]
+    labels = np.tile(np.arange(d), p)  # the group of problem k's column j, at k*d + j
+    col, entry = np.nonzero(near)
+    key = np.flatnonzero(tied)[entry] // n * d + col
+    while key.size:
+        row_label = np.full(near.shape[1], d)
+        np.minimum.at(row_label, entry, labels[key])
+        if np.array_equal(row_label[entry], labels[key]):  # at most d rounds of O(t*d)
             break
-        labels = merged
-    problems = np.arange(p)[:, None]
-    group = (labels[sel, problems] + d * problems).ravel()
+        np.minimum.at(labels, key, row_label[entry])
+    labels, problems = labels.reshape(p, d), np.arange(p)[:, None]
+    group = (labels[problems, sel] + d * problems).ravel()  # bincounts sum each group in row order
     weights = Y - a[np.arange(n), sel] - X[problems, sel]
     sums = np.bincount(group, weights=weights.ravel(), minlength=p * d)
     counts = np.bincount(group, minlength=p * d)
     increment = np.divide(sums, counts, out=np.zeros(p * d), where=counts > 0).reshape(p, d)
-    return X + increment[problems, labels.T]
+    return X + increment[problems, labels]
 
 
-def _segment_events(values: np.ndarray, slopes: np.ndarray):
+def _segment_events(values: np.ndarray, slopes: np.ndarray, sel: np.ndarray, tied: np.ndarray):
     """Start columns and selector-change events of p problems along
-    x + lam*slopes, with values = a + x as in _newton_batch.
-
-    Row i of problem k, numbered k*n + i, walks the lower envelope of its
-    lines values[j, k, i] + lam*slopes[k, j] from the lowest intercept at
-    lam = 0+ (ties: flattest, then smallest index). Each round moves every
-    row to the flatter line crossing its current one first (same ties),
-    clamped to the previous breakpoint: at most d rounds of O(p*n*d).
-    Events (lam, row, new column) have 0 < lam < 1 and are sorted by
-    problem, lam, row and walk order.
+    x + lam*slopes, with values = a + x, sel and tied as in _newton_batch.
+    Row k*n + i walks the lower envelope of lines values[j, k, i] +
+    lam*slopes[k, j] from its lowest at lam = 0+ (ties: flattest, then
+    smallest index; sel if the row is untied), each round moving to the
+    flatter line crossing its current one first (same ties), clamped to the
+    previous breakpoint. The envelope is concave, so a row moves again only
+    if another line is at or below its own at lam = 1: one O(p*n*d) pass
+    picks the c rows that move at all, then at most d rounds of O(c*d).
+    Events (lam, row, new and old column) have 0 < lam < 1 and are sorted
+    by problem, lam, row and walk order.
     """
     d, p, n = values.shape
+    start, exact = sel.copy(), values[:, tied] == values[:, tied].min(axis=0)
+    start[tied] = np.where(exact, slopes[np.flatnonzero(tied) // n].T, INF).argmin(axis=0)
+    # A round moves a row off line q only if some j with s_j < s_q has
+    # fl(fl(v_j - v_q) / fl(s_q - s_j)) < 1. Rounding is monotone, so then
+    # fl(v_j - v_q) < fl(s_q - s_j), so v_j - v_q < s_q - s_j exactly, so
+    # fl(v_j + s_j) <= fl(v_q + s_q): a test at lam = 1 needs no margin.
+    problem, start = np.arange(p).repeat(n), start.ravel()
+    w_q = values.take(start * (p * n) + np.arange(p * n)) + slopes[problem, start]
+    below = (values + slopes.T[:, :, None]).reshape(d, -1) <= w_q
+    rows = np.flatnonzero(below.sum(axis=0, dtype=np.min_scalar_type(d)) > 1)  # the start line and another
     order = np.argsort(slopes, axis=1, kind="stable")  # flattest first, then smallest index
-    problems = np.arange(p)[:, None]
-    lines = values.transpose(1, 0, 2)[problems, order].transpose(1, 0, 2).reshape(d, p * n)
-    line_slopes = np.repeat(slopes[problems, order].T, n, axis=1)
-    rows = np.arange(p * n)
-    start = cur = lines.argmin(axis=0)
-    lam = np.zeros(rows.size)
-    found = [(lam[:0], rows[:0], rows[:0])]
+    v = values.take((order * (p * n)).T[:, rows // n] + rows)  # the moving rows' lines in that order
+    s = np.take_along_axis(slopes, order, axis=1).T[:, rows // n]
+    cur, lam = np.argsort(order, axis=1)[rows // n, start[rows]], np.zeros(rows.size)
+    found = [(lam[:0], rows[:0], rows[:0], rows[:0])]
     while rows.size:
         at = np.arange(rows.size)
-        s = line_slopes[cur, at]
-        cross = np.divide(  # an infinite line's crossing stays infinite
-            lines - lines[cur, at], s - line_slopes, out=np.full(lines.shape, INF), where=line_slopes < s
-        )
-        nxt = cross.argmin(axis=0)
+        sq = s[cur, at]
+        cross = np.divide(v - v[cur, at], sq - s, out=np.full(v.shape, INF), where=s < sq)  # inf stays inf
+        nxt = (cross == cross.min(axis=0)).argmax(axis=0)  # argmin, without copying cross
         lam = np.maximum(cross[nxt, at], lam)
         go = lam < 1.0
-        rows, cur, lam, lines, line_slopes = rows[go], nxt[go], lam[go], lines[:, go], line_slopes[:, go]
-        found.append((lam, rows, order[rows // n, cur]))
-    lams, event_rows, cols = (np.concatenate(part) for part in zip(*found))
+        found.append((lam[go], rows[go], nxt[go], cur[go]))
+        go &= ((v + s) <= v[nxt, at] + s[nxt, at]).sum(axis=0, dtype=np.min_scalar_type(d)) > 1
+        rows, cur, lam, v, s = (t[..., go] for t in (rows, nxt, lam, v, s))
+    lams, event_rows, into, out = (np.concatenate(part) for part in zip(*found))
     by = np.lexsort((event_rows, lams, event_rows // n))
-    return order[np.arange(p * n) // n, start], lams[by], event_rows[by], cols[by]
+    return start, lams[by], event_rows[by], *(order[event_rows[by] // n, t[by]] for t in (into, out))
 
 
-def _exact_line_search(values: np.ndarray, Y: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+def _exact_line_search(
+    values: np.ndarray, Y: np.ndarray, slopes: np.ndarray, sel: np.ndarray, tied: np.ndarray
+) -> np.ndarray:
     """Exact minimizer lam in [0, 1] of each problem's residual along
-    x + lam*slopes, with values and slopes as in _segment_events.
-
-    Each event swaps one row's coefficients (s^2, s*c, c^2) of (c + s*lam)^2.
-    Problem k's swaps fill row k of a zero-padded table, whose cumulative
-    sum gives each piece's quadratic in that problem's own order. Pieces
-    are minimized at both ends and the interior vertex, skipping zero-length
-    ones; the smallest value wins, and on exact ties the larger lam.
+    x + lam*slopes, with its arguments as in _segment_events. Each event
+    swaps one row's coefficients (s^2, s*c, c^2) of (c + s*lam)^2. Problem
+    k's swaps fill row k of a zero-padded table, whose cumulative sum gives
+    each piece's quadratic in that problem's own order. Pieces are minimized
+    at both ends and the interior vertex, skipping zero-length ones; the
+    smallest value wins, and on exact ties the larger lam. Past the walk,
+    the cost is O(p*n) plus O(1) per event.
     """
     d, p, n = values.shape
-    active, lams, rows, cols = _segment_events(values, slopes)
-    # the column each event leaves: its row's start column or previous event's column
-    by_row = np.argsort(rows, kind="stable")  # each row's events in walk order
-    same_row = rows[by_row[1:]] == rows[by_row[:-1]]
-    prev = active[rows]
-    prev[by_row[1:][same_row]] = cols[by_row[:-1][same_row]]
+    active, lams, rows, cols, prev = _segment_events(values, slopes, sel, tied)
     r = np.concatenate([np.arange(p * n), rows, rows])
     j = np.concatenate([active, cols, prev])
     s, c = slopes[r // n, j], values.reshape(d, p * n)[j, r] - Y.ravel()[r]
@@ -217,8 +222,9 @@ def _newton_batch(a: np.ndarray, Y: np.ndarray, X0: np.ndarray, cfg: RegressionC
     A block of problems holds p*n*d <= max(Y.size, BATCH_ELEMENTS) table
     entries. Its table a + x is (d, p, n), one slab per column, so minima
     over columns are elementwise; each iteration forms it once for the
-    residual, selectors and near ties. A problem leaves its block when its
-    own stop rule fires, so it takes exactly its one-problem steps.
+    residual, the selectors and the tied rows (two or more columns within
+    TIE_TOL of the minimum). A problem leaves its block when its own stop
+    rule fires, so it takes exactly its one-problem steps.
     """
     (n, d), p = a.shape, Y.shape[0]
     step = max(1, max(Y.size, BATCH_ELEMENTS) // max(n * d, 1))
@@ -240,14 +246,21 @@ def _newton_batch(a: np.ndarray, Y: np.ndarray, X0: np.ndarray, cfg: RegressionC
             if it == cfg.max_iter:
                 converged[act[stop]] = True
                 break
-            slopes = _newton_targets(a, Y[act], x, values.argmin(axis=0), values <= row_min + TIE_TOL) - x
+            near = values <= row_min + TIE_TOL
+            tied = near.sum(axis=0, dtype=np.min_scalar_type(d)) > 1
+            sel = near.argmax(axis=0)  # an untied row's one near column is its argmin
+            sel[tied] = values[:, tied].argmin(axis=0)
+            near = near[:, tied]
+            slopes = _newton_targets(a, Y[act], x, sel, tied, near) - x
             stop |= np.abs(slopes).max(axis=1) == 0.0  # stationary: the target is the current point
             converged[act[stop]] = True
             go = ~stop
             act, x, slopes, prev = act[go], x[go], slopes[go], res[go]
             if not act.size:
                 break
-            lam = _exact_line_search(values[:, go], Y[act], slopes)
+            if not go.all():  # drop the stopped problems' slabs
+                values, sel, tied = values[:, go], sel[go], tied[go]
+            lam = _exact_line_search(values, Y[act], slopes, sel, tied)
             X[act] = x + lam[:, None] * slopes
             iterations[act] += 1
     return X, iterations, converged, traces

@@ -3,7 +3,9 @@
 oracle_min_path_fixed_length enumerates walks by brute force and refuses
 instances too large to enumerate; truncated_series sums the Kleene series
 through a given power; ref_kleene_star is the full-matrix Floyd-Warshall
-loop that the tiled kleene_star must match bit for bit. identity,
+loop that the tiled kleene_star must match bit for bit. The full_table_*
+functions are the 2-norm engine's Newton targets and envelope walk as
+they were before they skipped untied and unmoving rows. identity,
 tropical_allclose, min_plus_apply and render_edge_list were public names
 of the package that only tests called.
 """
@@ -115,3 +117,58 @@ def ref_kleene_star(a: np.ndarray) -> np.ndarray:
     if (np.diag(d) < 0).any():
         raise NegativeCycleError("negative-weight cycle")
     return d
+
+
+def full_table_newton_targets(a, Y, X, sel, near):
+    """Tie-restricted Newton targets of p problems, with the group labels
+    propagated over the whole (d, p, n) near table in every round."""
+    d, p, n = near.shape
+    labels = np.broadcast_to(np.arange(d)[:, None], (d, p))
+    while True:
+        row_label = np.where(near, labels[:, :, None], d).min(axis=0)
+        merged = np.minimum(labels, np.where(near, row_label, d).min(axis=2, initial=d))
+        if np.array_equal(merged, labels):
+            break
+        labels = merged
+    problems = np.arange(p)[:, None]
+    group = (labels[sel, problems] + d * problems).ravel()
+    weights = Y - a[np.arange(n), sel] - X[problems, sel]
+    sums = np.bincount(group, weights=weights.ravel(), minlength=p * d)
+    counts = np.bincount(group, minlength=p * d)
+    increment = np.divide(sums, counts, out=np.zeros(p * d), where=counts > 0).reshape(p, d)
+    return X + increment[problems, labels.T]
+
+
+def full_table_segment_events(values, slopes):
+    """Start columns and events (lam, row, new column, old column) of the
+    envelope walk along x + lam*slopes, with every row of the (d, p, n)
+    table copied into slope order and walked until its crossing reaches 1."""
+    d, p, n = values.shape
+    order = np.argsort(slopes, axis=1, kind="stable")
+    problems = np.arange(p)[:, None]
+    lines = values.transpose(1, 0, 2)[problems, order].transpose(1, 0, 2).reshape(d, p * n)
+    line_slopes = np.repeat(slopes[problems, order].T, n, axis=1)
+    rows = np.arange(p * n)
+    start = cur = lines.argmin(axis=0)
+    lam = np.zeros(rows.size)
+    found = [(lam[:0], rows[:0], rows[:0])]
+    while rows.size:
+        at = np.arange(rows.size)
+        s = line_slopes[cur, at]
+        cross = np.divide(
+            lines - lines[cur, at], s - line_slopes, out=np.full(lines.shape, INF), where=line_slopes < s
+        )
+        nxt = cross.argmin(axis=0)
+        lam = np.maximum(cross[nxt, at], lam)
+        go = lam < 1.0
+        rows, cur, lam, lines, line_slopes = rows[go], nxt[go], lam[go], lines[:, go], line_slopes[:, go]
+        found.append((lam, rows, order[rows // n, cur]))
+    lams, event_rows, cols = (np.concatenate(part) for part in zip(*found))
+    by = np.lexsort((event_rows, lams, event_rows // n))
+    start, lams, event_rows, cols = order[np.arange(p * n) // n, start], lams[by], event_rows[by], cols[by]
+    # the column each event leaves: its row's start column or previous event's column
+    by_row = np.argsort(event_rows, kind="stable")
+    same_row = event_rows[by_row[1:]] == event_rows[by_row[:-1]]
+    prev = start[event_rows]
+    prev[by_row[1:][same_row]] = cols[by_row[:-1][same_row]]
+    return start, lams, event_rows, cols, prev

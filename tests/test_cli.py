@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from minplus import read_matrix_csv
+from minplus import cli
 from minplus.cli import main
 
 from conftest import EXAMPLE_EDGES, EXAMPLE_D, EXAMPLE_F
@@ -547,6 +548,37 @@ def test_module_entry_point(edges_file, tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "spd.csv").exists()
+
+
+def test_main_calls_in_one_process_match_separate_runs(edges_file, tmp_path):
+    # main reuses one parser per process: two commands with a usage error
+    # between them give the exit codes and files of three separate runs
+    runs = [
+        ["spd", "--input", str(edges_file)],
+        ["factor", "--rank", "0", "--input", str(edges_file)],
+        ["factor", "--mode", "general", "--rank", "2", "--max-iter", "3", "--input", str(edges_file)],
+    ]
+    codes = [main(argv + ["--out-dir", str(tmp_path / "one" / str(k))]) for k, argv in enumerate(runs)]
+    assert codes == [0, 2, 0]
+    assert cli._build_parser() is cli._build_parser()
+    for k, argv in enumerate(runs):
+        out = tmp_path / "apart" / str(k)
+        proc = subprocess.run([sys.executable, "-m", "minplus", *argv, "--out-dir", str(out)], capture_output=True)
+        assert proc.returncode == codes[k]
+        one = tmp_path / "one" / str(k)
+        assert out.exists() == one.exists()
+        names = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert names == (sorted(p.name for p in one.iterdir()) if one.exists() else [])
+        for name in names:
+            if name.endswith("_report.json"):
+                a, b = (json.loads((d / name).read_text()) for d in (out, one))
+                for rep in (a, b):
+                    for key in ("wall_time_s", "outputs", "command"):
+                        rep.pop(key)
+                    rep["parameters"].pop("out_dir")
+                assert a == b
+            else:
+                assert (out / name).read_bytes() == (one / name).read_bytes()
 
 
 @pytest.mark.parametrize("cap", ["0.5", "1e308"])  # below the largest distance 2; 2*cap overflows

@@ -17,7 +17,7 @@ from minplus import (
 )
 from minplus import regression as reg
 
-from oracles import identity, min_plus_apply
+from oracles import full_table_newton_targets, full_table_segment_events, identity, min_plus_apply
 
 
 def residual_sq(A, y, x):
@@ -48,8 +48,9 @@ def active_pattern(A, x, tie_tol=reg.TIE_TOL):
 
 def restricted_newton_target(A, y, pattern):
     """One problem through the batched reg._newton_targets."""
-    near = pattern.near.T[:, None, :]
-    return reg._newton_targets(A.data, y[None], pattern.x[None], pattern.selectors[None], near)[0]
+    tied = pattern.near.sum(axis=1)[None] > 1
+    near = pattern.near.T[:, tied[0]]
+    return reg._newton_targets(A.data, y[None], pattern.x[None], pattern.selectors[None], tied, near)[0]
 
 
 def newton_target(A, y, pattern):
@@ -69,15 +70,32 @@ def newton_target(A, y, pattern):
     return target
 
 
+def engine_selectors(values):
+    """Selectors, tied-row mask and near table of a (d, p, n) table, by the
+    engine's rule: a row is tied when two or more columns lie within
+    TIE_TOL of its minimum."""
+    near = values <= values.min(axis=0) + reg.TIE_TOL
+    return values.argmin(axis=0), near.sum(axis=0) > 1, near
+
+
+def batch_args(a, x, target):
+    """One problem as the batched line search takes it: (d, 1, n) values,
+    (1, d) slopes, and the selectors and tied-row mask of A + x."""
+    values = (a + x).T[:, None, :]
+    sel, tied, _ = engine_selectors(values)
+    return values, (target - x)[None], sel, tied
+
+
 def segment_events(a, x, target):
     """One problem through the batched reg._segment_events: (start, events)."""
-    start, *events = reg._segment_events((a + x).T[:, None, :], (target - x)[None])
+    start, *events, _ = reg._segment_events(*batch_args(a, x, target))
     return start, list(zip(*(e.tolist() for e in events)))
 
 
 def exact_line_search(a, y, x, target):
     """One problem through the batched reg._exact_line_search."""
-    return float(reg._exact_line_search((a + x).T[:, None, :], y[None], (target - x)[None])[0])
+    values, slopes, sel, tied = batch_args(a, x, target)
+    return float(reg._exact_line_search(values, y[None], slopes, sel, tied)[0])
 
 
 def grid_best_inf_residual(a, y, lo, hi, step):
@@ -330,7 +348,8 @@ def test_line_search_flat_optimum_reports_lam_one():
     assert exact_line_search(a, y, x, np.array([0.0, 1.0])) == 1.0
     values = (a + x).T[:, None, :].repeat(2, axis=1)  # the same row in a batch of two
     slopes = np.array([[0.0, 1.0], [0.5, 0.5]])
-    lams = reg._exact_line_search(values, np.stack([y, y]), slopes)
+    sel, tied, _ = engine_selectors(values)
+    lams = reg._exact_line_search(values, np.stack([y, y]), slopes, sel, tied)
     assert lams[0] == 1.0 and lams[1] == exact_line_search(a, y, x, x + slopes[1])
 
 
@@ -573,6 +592,93 @@ def test_restricted_target_merges_transitive_tie_chain():
     target = restricted_newton_target(ta, y, pattern)
     # rows 0, 1 and 2 select columns 0, 1 and 2: increments 1, 2 and 5
     assert np.array_equal(target, [8 / 3, 8 / 3, 8 / 3, 5.0])
+
+
+def walk_instances(seed, count):
+    """Many-problem (values, slopes) tables for the envelope walk.
+
+    Integer tables have exact intercept ties at lam = 0 between lines of
+    different slopes and crossings at exactly lam = 1. In tables near 1e6
+    every row's lines meet within a few ulps of one point at lam = 1, so
+    rounding decides which rows move, and a row can move although its lines'
+    values at lam = 1 round to the same number. Some rows start on their
+    flattest line, and a quarter of the entries are inf (each row keeps one
+    finite line).
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n, d, p = int(rng.integers(1, 9)), int(rng.integers(1, 7)), int(rng.integers(1, 13))
+        if k % 3 == 0:
+            values = rng.integers(-4, 5, size=(d, p, n)).astype(float)
+            slopes = rng.integers(-3, 4, size=(p, d)).astype(float)
+        elif k % 3 == 1:
+            values = rng.normal(size=(d, p, n)) * 2
+            slopes = rng.normal(size=(p, d))
+        else:
+            slopes = 1e6 * rng.normal(size=(p, d))
+            values = (1e6 + rng.normal(size=(1, p, n))) - slopes.T[:, :, None]
+            values += rng.integers(-2, 3, size=values.shape) * np.spacing(values)
+        keep = rng.integers(0, d, size=(p, n))
+        k_, i_ = np.nonzero(rng.random(size=(p, n)) < 0.2)  # these rows start on their flattest line
+        keep[k_, i_] = slopes.argmin(axis=1)[k_]
+        values[keep[k_, i_], k_, i_] = values.min(axis=0)[k_, i_] - 1.0
+        values[(rng.random(size=values.shape) < 0.25) & (np.arange(d)[:, None, None] != keep)] = INF
+        yield values, slopes
+
+
+def test_event_walk_matches_full_table_walk():
+    # the walk over rows that can move returns the full-table walk's start
+    # columns, events and left columns byte for byte. Coverage: rows that
+    # move although no other line is strictly below their start line at
+    # lam = 1, and tied rows whose flattest exact start is not the selector
+    level_rows = flat_starts = 0
+    for values, slopes in walk_instances(50, 900):
+        sel, tied, _ = engine_selectors(values)
+        got = reg._segment_events(values, slopes, sel, tied)
+        want = full_table_segment_events(values, slopes)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        at_one = (values + slopes.T[:, :, None]).reshape(values.shape[0], -1)
+        rows = np.arange(at_one.shape[1])
+        start_at_one = at_one[want[0], rows]
+        at_one[want[0], rows] = INF
+        moved = np.unique(want[2])
+        level_rows += int((at_one[:, moved].min(axis=0) == start_at_one[moved]).sum())
+        flat_starts += int((want[0] != sel.ravel()).sum())
+    assert level_rows > 20 and flat_starts > 100
+
+
+def test_newton_targets_match_full_table_labels():
+    # tie labels spread over tied rows alone give the full-table targets
+    # byte for byte: a chain of ties across rows, problems with no tied
+    # row, and a problem in which every row is tied
+    rng = np.random.default_rng(51)
+    chain = np.array([[0.0, 0.0, 9, 9, 9], [9, 0, 0, 9, 9], [9, 9, 0, 0, 9], [9, 9, 9, 1, 9], [9, 9, 9, 9, 0]])
+    chain_x = np.zeros((4, 5))
+    chain_x[1, 2] = chain_x[2, 0] = 0.5  # these problems break the chain at one link
+    twin = rng.integers(0, 5, size=(6, 4)).astype(float)
+    twin[:, 1] = twin[:, 0] = twin.min(axis=1) - 1.0  # columns 0 and 1 tie in every row
+    cases = [
+        (chain, chain_x),
+        (rng.normal(size=(7, 4)), rng.normal(size=(5, 4))),
+        (twin, np.vstack([np.zeros(4), rng.normal(size=(3, 4))])),
+    ]
+    for _ in range(40):
+        n, d = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        a = rng.integers(-3, 4, size=(n, d)).astype(float)
+        a[(rng.random(size=a.shape) < 0.25) & (np.arange(d) != rng.integers(0, d, size=n)[:, None])] = INF
+        cases.append((a, rng.integers(-2, 3, size=(int(rng.integers(1, 9)), d)).astype(float)))
+    tied_counts = []
+    for a, X in cases:
+        Y = rng.integers(-4, 5, size=(X.shape[0], a.shape[0])).astype(float)
+        sel, tied, near = engine_selectors(a.T[:, None, :] + X.T[:, :, None])
+        got = reg._newton_targets(a, Y, X, sel, tied, near[:, tied])
+        assert got.tobytes() == full_table_newton_targets(a, Y, X, sel, near).tobytes()
+        tied_counts.append(tied.sum(axis=1))
+    assert tied_counts[0].tolist() == [3, 1, 2, 3]  # whole chains, and chains broken at one link
+    assert not tied_counts[1].any()
+    assert tied_counts[2][0] == 6 and not tied_counts[2][1:].any()
+    assert sum(int(c.sum()) for c in tied_counts[3:]) > 50
 
 
 def ref_newton_loop(a, y, x, cfg):
