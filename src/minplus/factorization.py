@@ -23,6 +23,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -161,27 +162,43 @@ def actual_waypoint(D: TropicalMatrix, W) -> FactorPair:
     return _waypoint_pair(*_waypoint_product(d, waypoints), 0)
 
 
-def _exceeds(d: np.ndarray, waypoints: tuple[int, ...], bound: float, product, term) -> bool:
-    """Whether ||D - D(:,W) (x) D(:,W)^T||_F^2 > bound, summed over row tiles
-    in the flat scratch arrays, stopping at the first tile that crosses it.
-    D and the product are symmetric, so a tile scores its diagonal block
-    once and the columns right of it twice, and every partial sum is a
-    lower bound of the total. Row w of D stands for column w."""
+def _tile_sums(d: np.ndarray, buf: np.ndarray, fill):
+    """Running totals of a symmetric n x n sum of squares, one per row tile.
+
+    fill(tile, rows, top) writes the terms of rows top.. of D, columns top..
+    (rows is that view of D), into the flat scratch buf. A tile counts its
+    diagonal block once and the columns right of it twice, as twice its
+    dot with itself less the block's squares, so no term is negative and
+    every total is a lower bound of the next. Row w of D stands for
+    column w."""
     total = 0.0
     for top in range(0, d.shape[0], TILE_ROWS):
         rows = d[top:top + TILE_ROWS, top:]
-        h = len(rows)
-        tile, scratch = (buf[: rows.size].reshape(rows.shape) for buf in (product, term))
-        _outer_sum(tile, d[waypoints[0], top:top + h], d[waypoints[0], top:])
-        for w in waypoints[1:]:
-            _outer_sum(scratch, d[w, top:top + h], d[w, top:])
-            np.minimum(tile, scratch, out=tile)
-        np.subtract(rows, tile, out=scratch)
-        np.square(scratch, out=scratch)
-        total += float(scratch[:, :h].sum()) + 2.0 * float(scratch[:, h:].sum())
-        if total > bound:
-            return True
-    return False
+        tile = buf[: rows.size].reshape(rows.shape)
+        fill(tile, rows, top)
+        block, flat = tile[:, : len(rows)], tile.ravel()
+        total += 2.0 * float(flat @ flat) - float((block * block).sum())
+        yield total
+
+
+def _residual_fill(d: np.ndarray, waypoints: tuple[int, ...], scratch: np.ndarray, tile, rows, top) -> None:
+    """The tile of D(:,W) (x) D(:,W)^T - D, one waypoint row at a time."""
+    h, part = len(rows), scratch[: tile.size].reshape(tile.shape)
+    _outer_sum(tile, d[waypoints[0], top:top + h], d[waypoints[0], top:])
+    for w in waypoints[1:]:
+        _outer_sum(part, d[w, top:top + h], d[w, top:])
+        np.minimum(tile, part, out=tile)
+    np.subtract(tile, rows, out=tile)
+
+
+def _bound_fill(near: np.ndarray, tile, rows, top) -> None:
+    """The tile of max(0, r_i + r_j - d_ij), r_i = min_w d_iw the cost of
+    row i's nearest waypoint. Product entry (i,j) is min_w fl(d_iw + d_wj)
+    >= fl(r_i + r_j), so each term is at most the residual's, for any
+    finite symmetric D."""
+    _outer_sum(tile, near[top:top + len(rows)], near[top:])
+    np.subtract(tile, rows, out=tile)
+    np.maximum(tile, 0.0, out=tile)
 
 
 def actual_waypoint_search(
@@ -190,10 +207,16 @@ def actual_waypoint_search(
     """Best waypoint set of size m: exhaustive when C(n,m) fits the budget,
     otherwise seeded uniform sampling of budget subsets.
 
-    A candidate is dropped as soon as its partial residual, summed over
-    row tiles, exceeds the best so far; every other candidate is scored
-    in full, so the result equals scoring every candidate. Ties break
-    toward the lexicographically smallest W.
+    Candidates are visited in stable order of their k-medoids cost
+    sum_i r_i^2, where r_i = min_{w in W} d_iw is row i's distance to its
+    nearest waypoint, so a good set is scored early. Each candidate then
+    meets two row-tile scans, and is dropped at the first tile whose
+    partial sum exceeds the best squared residual so far: first the
+    Voronoi lower bound sum_ij max(0, r_i + r_j - d_ij)^2, then its exact
+    squared residual. A candidate that passes both is scored in full. A
+    winner or a tie is never dropped, and ties break toward the
+    lexicographically smallest W, so the result equals scoring every
+    candidate, in any order.
     """
     d = _check_symmetric_distance(D)
     n = d.shape[0]
@@ -203,26 +226,24 @@ def actual_waypoint_search(
         raise ValueError("budget must be >= 1")
     total = math.comb(n, m)
     if total <= budget:
-        candidates = itertools.combinations(range(n), m)
-        evaluated = total
+        candidates = np.array(list(itertools.combinations(range(n), m)))
     else:
         rng = np.random.default_rng([seed])
-        candidates = (
-            tuple(int(w) for w in np.sort(rng.choice(n, size=m, replace=False)))
-            for _ in range(budget)
-        )
-        evaluated = budget
+        candidates = np.array([np.sort(rng.choice(n, size=m, replace=False)) for _ in range(budget)])
+    keys = [float(r @ r) for r in (d[c].min(axis=0) for c in candidates)]
     best_w, best_left, best_res, bound = None, None, np.inf, np.inf
     product = np.empty(min(TILE_ROWS, n) * n)
     term = np.empty_like(product)
-    for w in candidates:
-        if _exceeds(d, w, bound, product, term):
+    for c in sorted(range(len(keys)), key=keys.__getitem__):
+        w = tuple(candidates[c].tolist())
+        fills = (partial(_bound_fill, d[candidates[c]].min(axis=0)), partial(_residual_fill, d, w, term))
+        if any(s > bound for fill in fills for s in _tile_sums(d, product, fill)):
             continue
         left, res = _waypoint_product(d, w)
         if res < best_res or (res == best_res and (best_w is None or w < best_w)):
             best_w, best_left, best_res = w, left, res
             bound = best_res * best_res * (1.0 + PRUNE_MARGIN)
-    return best_w, _waypoint_pair(best_left, best_res, evaluated)
+    return best_w, _waypoint_pair(best_left, best_res, len(candidates))
 
 
 def _sym_product(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ indices; reports that face users print 1-based positions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ class Graph:
         for u, v, w in self.edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) references a node index outside 0..{n - 1}")
-            if not np.isfinite(w) or w < 0:
+            if not math.isfinite(w) or w < 0:
                 raise DomainError(f"edge ({u}, {v}) weight {w!r} must be finite and >= 0")
 
     @property
@@ -89,7 +90,7 @@ def load_edge_list(text: str, directed: bool = False) -> Graph:
                 raise ParseError(f"line {lineno}: cannot parse weight {tokens[2]!r}") from None
         else:
             w = 1.0
-        if np.isnan(w) or np.isinf(w):
+        if not math.isfinite(w):
             raise DomainError(f"line {lineno}: weight must be finite, got {tokens[2]!r}")
         if w < 0:
             raise DomainError(f"line {lineno}: negative weight {w}")
@@ -212,7 +213,7 @@ def load_gml_subset(text: str) -> Graph:
             raise ParseError(f"edge references unknown node id {source!r}")
         if target not in index_of:
             raise ParseError(f"edge references unknown node id {target!r}")
-        if np.isnan(w) or np.isinf(w):
+        if not math.isfinite(w):
             raise DomainError(f"edge ({source}, {target}) weight must be finite")
         if w < 0:
             raise DomainError(f"edge ({source}, {target}) has negative weight {w}")

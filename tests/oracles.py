@@ -3,16 +3,22 @@
 oracle_min_path_fixed_length enumerates walks by brute force and refuses
 instances too large to enumerate; truncated_series sums the Kleene series
 through a given power; ref_kleene_star is the full-matrix Floyd-Warshall
-loop that the tiled kleene_star must match bit for bit. The full_table_*
+loop that the tiled kleene_star must match bit for bit, and
+ref_waypoint_search is the waypoint search that scores every candidate in
+full, in sample order, which the pruned search must match. The full_table_*
 functions are the 2-norm engine's Newton targets and envelope walk as
 they were before they skipped untied and unmoving rows. identity,
 tropical_allclose, min_plus_apply and render_edge_list were public names
 of the package that only tests called.
 """
 
+import itertools
+import math
+
 import numpy as np
 
 from minplus import INF, DomainError, Graph, NegativeCycleError, TropicalMatrix, mp_multiply
+from minplus.factorization import _waypoint_product
 
 ORACLE_MAX_NODES = 7
 ORACLE_MAX_LENGTH = 5
@@ -117,6 +123,25 @@ def ref_kleene_star(a: np.ndarray) -> np.ndarray:
     if (np.diag(d) < 0).any():
         raise NegativeCycleError("negative-weight cycle")
     return d
+
+
+def ref_waypoint_search(d, m, budget, seed):
+    """The unpruned search: score every candidate in full, keep the best."""
+    n = d.shape[0]
+    if math.comb(n, m) <= budget:
+        candidates = itertools.combinations(range(n), m)
+    else:
+        rng = np.random.default_rng([seed])
+        candidates = (
+            tuple(int(w) for w in np.sort(rng.choice(n, size=m, replace=False)))
+            for _ in range(budget)
+        )
+    best_w, best_left, best_res = None, None, np.inf
+    for w in candidates:
+        left, res = _waypoint_product(d, tuple(w))
+        if res < best_res or (res == best_res and (best_w is None or tuple(w) < best_w)):
+            best_w, best_left, best_res = tuple(w), left, res
+    return best_w, best_left, best_res
 
 
 def full_table_newton_targets(a, Y, X, sel, near):

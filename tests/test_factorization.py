@@ -3,6 +3,8 @@
 import itertools
 import math
 import tracemalloc
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,29 +23,34 @@ from minplus import (
     frobenius_distance,
     jacobi_map,
     kleene_star,
+    load_edge_list,
     mp_multiply,
     nonsym_factorize,
     residual_of_given_factor,
+    shortest_path_matrix,
     sym_factorize,
 )
 
 import minplus.factorization as factorization
-from minplus.core import _mp
+from minplus.core import TILE_ROWS, _mp
 from minplus.factorization import (
     DECAY_PATIENCE,
     INNER_MAX_ITER,
     MU_DECAY,
     MU_FLOOR,
     SYM_TOL,
+    _bound_fill,
     _jacobi_apply,
     _jacobi_setup,
     _kmeans_start,
     _sym_product,
+    _tile_sums,
     _waypoint_product,
 )
 from minplus.regression import RegressionConfig, _newton_batch
 
 from conftest import EXAMPLE_D, random_nonneg_graph_matrix
+from oracles import ref_waypoint_search
 
 
 @pytest.fixture(scope="module")
@@ -154,25 +161,27 @@ def test_actual_waypoint_search_sampled_budget(example_d):
     assert pair.residual >= exhaustive.residual - 1e-12
 
 
-def ref_waypoint_search(d, m, budget, seed):
-    """The unpruned search: score every candidate in full, keep the best."""
-    n = d.shape[0]
-    if math.comb(n, m) <= budget:
-        candidates = itertools.combinations(range(n), m)
-    else:
-        rng = np.random.default_rng([seed])
-        candidates = (
-            tuple(int(w) for w in np.sort(rng.choice(n, size=m, replace=False)))
-            for _ in range(budget)
-        )
-    best_w, best_left, best_res = None, None, np.inf
-    for w in candidates:
-        left, res = _waypoint_product(d, tuple(w))
-        if res < best_res or (res == best_res and (best_w is None or tuple(w) < best_w)):
-            best_w, best_left, best_res = tuple(w), left, res
-    return best_w, best_left, best_res
+def assert_search_matches_reference(d, m, budget, seed):
+    """The pruned search returns the unpruned reference's W, residual bits
+    and factor bytes; True when the candidates were enumerated."""
+    w, pair = actual_waypoint_search(d, m, budget=budget, seed=seed)
+    ref_w, ref_left, ref_res = ref_waypoint_search(d, m, budget, seed)
+    assert w == ref_w
+    assert pair.residual.hex() == ref_res.hex()
+    assert pair.left.data.tobytes() == ref_left.tobytes()
+    assert pair.right.data.tobytes() == ref_left.T.tobytes()
+    return math.comb(d.shape[0], m) <= budget
 
 
+def star_closure(n, center):
+    """Shortest paths of a unit-weight star: 1 to the center, 2 between leaves."""
+    d = np.full((n, n), 2.0)
+    d[center, :] = d[:, center] = 1.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@pytest.mark.filterwarnings("ignore:input is not idempotent")
 def test_pruned_search_matches_unpruned_reference():
     # W, residual bits and factors equal the full search: integer weights
     # 1..2 tie often, so the lexicographic rule decides; real weights do
@@ -190,16 +199,10 @@ def test_pruned_search_matches_unpruned_reference():
             d = d * (0.1 * math.pi)
         for m in range(1, 6):
             budget = 250 if (trial + m) % 2 else 20
-            if math.comb(n, m) <= budget:
+            if assert_search_matches_reference(d, m, budget, trial):
                 exhaustive += 1
             else:
                 sampled += 1
-            w, pair = actual_waypoint_search(d, m, budget=budget, seed=trial)
-            ref_w, ref_left, ref_res = ref_waypoint_search(d, m, budget, trial)
-            assert w == ref_w
-            assert pair.residual.hex() == ref_res.hex()
-            assert pair.left.data.tobytes() == ref_left.tobytes()
-            assert pair.right.data.tobytes() == ref_left.T.tobytes()
     assert exhaustive >= 15 and sampled >= 15
     # every set is exact on the zero matrix, so a sampled search must still
     # return the smallest sampled set, not the first
@@ -207,6 +210,44 @@ def test_pruned_search_matches_unpruned_reference():
     for m in range(1, 6):
         w, pair = actual_waypoint_search(zero, m, budget=20, seed=m)
         assert (w, pair.residual) == ref_waypoint_search(zero, m, 20, m)[::2]
+    # symmetric matrices that are no distance matrix (negative entries,
+    # integer ones tie), stars whose candidates share ranking keys, and
+    # rank 1, where the Voronoi bound equals the residual on a closure;
+    # each kind runs on the exhaustive and on the sampled branch
+    rng = np.random.default_rng(113)
+    branches = {kind: [] for kind in ("signed", "star", "rank1")}
+    for trial in range(12):
+        n = int(rng.integers(7, 11)) if trial % 3 else int(rng.integers(65, 140))
+        a = rng.integers(-3, 6, size=(n, n)).astype(float) if trial % 2 else rng.normal(size=(n, n))
+        star = star_closure(n, int(rng.integers(n))) * (1.0 if trial % 2 else 0.1 * math.pi)
+        closure = kleene_star(TropicalMatrix(random_nonneg_graph_matrix(rng, n, density=0.5))).data
+        for m in range(1, 5):
+            budget = 120 if (trial + m) % 2 else 15
+            branches["signed"].append(assert_search_matches_reference(a + a.T, m, budget, trial))
+            branches["star"].append(assert_search_matches_reference(star, m, budget, trial))
+        for budget in (n, n - 1):
+            branches["rank1"].append(assert_search_matches_reference(closure * 0.3, 1, budget, trial))
+    assert all(set(kinds) == {True, False} for kinds in branches.values())
+
+
+def test_voronoi_bound_is_a_lower_bound_of_the_residual():
+    # each term is at most the residual's, so the total stays below the
+    # residual as np.sum sums it, and no tile lowers the running total
+    rng = np.random.default_rng(59)
+    for trial in range(60):
+        n = int(rng.integers(2, 200))
+        a = rng.normal(size=(n, n)) if trial % 2 else rng.integers(-3, 10, size=(n, n)).astype(float)
+        d = a + a.T
+        w = sorted(rng.choice(n, size=int(rng.integers(1, min(n, 5) + 1)), replace=False).tolist())
+        near = d[w].min(axis=0)
+        sums = list(_tile_sums(d, np.empty(min(TILE_ROWS, n) * n), partial(_bound_fill, near)))
+        left = d[:, w]
+        difference = _mp(left, left.T) - d
+        terms = np.empty_like(d)
+        _bound_fill(near, terms, d, 0)
+        assert (terms**2 <= difference**2).all()
+        assert sums[-1] <= float(np.sum(difference**2))
+        assert all(earlier <= later for earlier, later in zip(sums, sums[1:]))
 
 
 def test_actual_waypoint_search_rejects_budget_below_one(example_d):
@@ -219,11 +260,27 @@ def test_actual_waypoint_search_memory_is_quadratic(closure300):
     n = closure300.rows
     tracemalloc.start()
     try:
-        actual_waypoint_search(closure300, 4, budget=50)
+        actual_waypoint_search(closure300, 4, budget=2000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * n * n * 8  # one scored product at a time, tiles of O(n) rows
+    # one scored product at a time, tiles of O(n) rows; a length-n vector
+    # kept per candidate would need budget * n * 8 bytes, over this bound
+    assert peak < 4 * n * n * 8
+
+
+def test_ranked_search_scores_few_candidates_in_full(monkeypatch):
+    calls = []
+
+    def counting(d, waypoints):
+        calls.append(waypoints)
+        return _waypoint_product(d, waypoints)
+
+    text = (Path(__file__).parent / "golden" / "graph150_real.edges").read_text()
+    closure = shortest_path_matrix(load_edge_list(text))
+    monkeypatch.setattr(factorization, "_waypoint_product", counting)
+    actual_waypoint_search(closure, 4, budget=200)
+    assert 1 <= len(calls) <= 2
 
 
 @pytest.mark.parametrize("as_matrix", [False, True])
