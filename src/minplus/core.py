@@ -19,7 +19,10 @@ from .errors import DomainError, NegativeCycleError, ParseError, ShapeError
 INF = float("inf")
 
 CSV_FLOAT_FORMAT = ".17g"
-TILE_ROWS = 64  # rows per scratch tile of the closure and the waypoint scan
+# kleene_star runs B pivots per pass over D, H rows at a time (B*H*n scratch).
+# B divides H, so a symmetric pivot block lies in one tile and reads no stale entry.
+CLOSURE_BLOCK = 8
+CLOSURE_ROWS = 16
 
 
 class TropicalMatrix:
@@ -130,14 +133,6 @@ def mp_power(A: TropicalMatrix, k: int) -> TropicalMatrix:
     return TropicalMatrix._wrap(out)
 
 
-def _outer_sum(out: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
-    """out[i,j] = col[i] + row[j] in a contiguous tile: filled with the
-    column, then the row added in place, which runs faster than one
-    broadcast add whose column operand has stride 0 along the inner axis."""
-    np.copyto(out, col[:, None])
-    np.add(out, row, out=out)
-
-
 def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
     """Closure I min A min A^2 min ... of a square matrix.
 
@@ -147,15 +142,20 @@ def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
     after closure means a negative-weight cycle exists and the series
     diverges, reported as NegativeCycleError.
 
-    Pivot k updates D a tile of TILE_ROWS rows at a time: the pivot column
-    plus the pivot row fill a contiguous scratch tile, and the minimum is
-    taken into D. Scratch memory is O(TILE_ROWS*n). Floyd-Warshall keeps a
-    symmetric D symmetric bit for bit, since fl(a+b) = fl(b+a), so for
-    symmetric input each tile updates only its columns from its own top row
-    rightwards; row k is read from column k above the diagonal, and the
-    lower triangle is mirrored at the end. Row and column k are copies
-    taken before the step, so the result equals the full-matrix step
-    D = min(D, D(:,k) + D(k,:)) bit for bit, a negative diagonal included.
+    Pivots k0..k0+B-1 (B = CLOSURE_BLOCK) form a block. Its column panel C
+    and row panel R are copied from D and the block's own pivots run on the
+    panels alone, so C(:,t) and R(t,:) hold column and row k0+t exactly as
+    the one-pivot loop reads them at pivot k0+t. One pass over D then takes
+    D = min(D, min_t C(:,t) + R(t,:)), H = CLOSURE_ROWS rows at a time in
+    B*H*n scratch. min is exact and order-free and every candidate is a sum
+    the one-pivot loop forms, so the result equals that loop bit for bit, a
+    negative diagonal included. (The textbook blocked update reads each
+    block's final panels: other sums, so real weights round differently.)
+    A symmetric D stays symmetric bit for bit, as fl(a+b) = fl(b+a). Then
+    R = C^T, read from the block's columns above it and its rows from
+    column k0 on, fresh because B divides H and the block lies in one tile;
+    each tile updates only its columns from its own top row rightwards, and
+    the lower triangle is mirrored at the end.
     """
     a = _data_of(A)
     n = a.shape[0]
@@ -164,21 +164,30 @@ def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
     d = a.copy()
     np.fill_diagonal(d, np.minimum(a.diagonal(), 0.0))  # D = A min I
     symmetric = np.array_equal(d, d.T)
-    scratch = np.empty(min(TILE_ROWS, n) * n)
-    for k in range(n):
-        if symmetric:  # row k left of the diagonal is stale: read column k there
-            col = row = np.concatenate((d[:k, k], d[k, k:]))
+    sums = np.empty(CLOSURE_BLOCK * min(CLOSURE_ROWS, n) * n)
+    least = np.empty(min(CLOSURE_ROWS, n) * n)
+    for k0 in range(0, n, CLOSURE_BLOCK):
+        k1 = min(k0 + CLOSURE_BLOCK, n)
+        if symmetric:  # rows k0..k1 may be stale left of column k0: read columns there
+            col = row = np.concatenate((d[:k0, k0:k1].T, d[k0:k1, k0:]), axis=1)
         else:
-            col, row = d[:, k].copy(), d[k].copy()
-        for top in range(0, n, TILE_ROWS):
+            col, row = d[:, k0:k1].T.copy(), d[k0:k1].copy()  # C^T and R
+        for t in range(k1 - k0 - 1):  # pivot k0+t on the later panel columns and rows
+            np.minimum(col[t + 1:], row[t, k0 + t + 1:k1, None] + col[t], out=col[t + 1:])
+            if not symmetric:
+                np.minimum(row[t + 1:], col[t, k0 + t + 1:k1, None] + row[t], out=row[t + 1:])
+        for top in range(0, n, CLOSURE_ROWS):
             left = top if symmetric else 0
-            rows = d[top:top + TILE_ROWS, left:]
-            tile = scratch[: rows.size].reshape(rows.shape)
-            _outer_sum(tile, col[top:top + TILE_ROWS], row[left:])
-            np.minimum(rows, tile, out=rows)
+            rows = d[top:top + CLOSURE_ROWS, left:]
+            h, w = rows.shape
+            tile = sums[: (k1 - k0) * h * w].reshape(k1 - k0, h, w)
+            np.copyto(tile, col[:, top:top + h, None])  # faster than one broadcast add
+            np.add(tile, row[:, None, left:], out=tile)
+            low = np.minimum.reduce(tile, axis=0, out=least[: h * w].reshape(h, w))
+            np.minimum(rows, low, out=rows)
     if symmetric:
-        for top in range(TILE_ROWS, n, TILE_ROWS):
-            d[top:top + TILE_ROWS, :top] = d[:top, top:top + TILE_ROWS].T
+        for top in range(CLOSURE_ROWS, n, CLOSURE_ROWS):
+            d[top:top + CLOSURE_ROWS, :top] = d[:top, top:top + CLOSURE_ROWS].T
     if (np.diag(d) < 0).any():
         raise NegativeCycleError("matrix contains a negative-weight cycle; the closure diverges")
     closure = TropicalMatrix._wrap(d)

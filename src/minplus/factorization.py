@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import TILE_ROWS, TropicalMatrix, _as_matrix, _data_of, _mp, _outer_sum
+from .core import TropicalMatrix, _as_matrix, _data_of, _mp
 from .core import frobenius_distance, is_idempotent
 from .errors import DomainError, ShapeError
 from .regression import RegressionConfig, _chebyshev_shift, _newton_batch
@@ -47,6 +47,7 @@ SYM_BLOCK_ELEMENTS = 2**14
 # drop a candidate whose partial sum of squares exceeds best^2 by this much, far
 # above the rounding gap between tile sums and np.sum: it could neither win nor tie
 PRUNE_MARGIN = 1e-9
+TILE_ROWS = 64  # rows per scratch tile of the waypoint scan
 
 
 @dataclass
@@ -160,6 +161,14 @@ def actual_waypoint(D: TropicalMatrix, W) -> FactorPair:
         if not (0 <= w < n):
             raise IndexError(f"waypoint index {w} outside 0..{n - 1}")
     return _waypoint_pair(*_waypoint_product(d, waypoints), 0)
+
+
+def _outer_sum(out: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
+    """out[i,j] = col[i] + row[j] in a contiguous tile: filled with the
+    column, then the row added in place, which runs faster than one
+    broadcast add whose column operand has stride 0 along the inner axis."""
+    np.copyto(out, col[:, None])
+    np.add(out, row, out=out)
 
 
 def _tile_sums(d: np.ndarray, buf: np.ndarray, fill):

@@ -9,6 +9,7 @@ indices; reports that face users print 1-based positions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -221,35 +222,36 @@ def load_gml_subset(text: str) -> Graph:
     return Graph(tuple(ids), _min_weight_edges(keyed), directed)
 
 
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tails, heads and weights of the stored edges in order; on an
+    undirected graph each edge is followed by its mirror."""
+    edges = np.fromiter(itertools.chain.from_iterable(g.edges), float, 3 * len(g.edges)).reshape(-1, 3)
+    if not g.directed:
+        edges = np.stack((edges, edges[:, [1, 0, 2]]), axis=1).reshape(-1, 3)
+    return edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp), edges[:, 2]
+
+
 def graph_to_tropical(g: Graph) -> TropicalMatrix:
     """n x n matrix: 0 diagonal, edge weights where edges exist, inf elsewhere.
 
     Self-loops are ignored; the distance from a node to itself is 0.
     Undirected graphs yield symmetric output. Parallel stored edges keep
-    the minimum weight.
+    the minimum weight, the first stored one on a tie of 0.0 and -0.0.
     """
-    n = g.n_nodes
-    data = np.full((n, n), INF)
-    np.fill_diagonal(data, 0.0)
-    for u, v, w in g.edges:
-        if u == v:
-            continue
-        data[u, v] = min(data[u, v], w)
-        if not g.directed:
-            data[v, u] = min(data[v, u], w)
+    data = np.full((g.n_nodes, g.n_nodes), INF)
+    u, v, w = _edge_arrays(g)
+    # np.minimum keeps its second operand on a tie, so fold the edges last to first
+    np.minimum.at(data, (u[::-1], v[::-1]), w[::-1])
+    np.fill_diagonal(data, 0.0)  # over any self-loop
     return TropicalMatrix._wrap(data)
 
 
 def graph_to_adjacency(g: Graph) -> np.ndarray:
     """0/1 adjacency matrix (weights ignored, self-loops dropped)."""
-    n = g.n_nodes
-    adj = np.zeros((n, n))
-    for u, v, _ in g.edges:
-        if u == v:
-            continue
-        adj[u, v] = 1.0
-        if not g.directed:
-            adj[v, u] = 1.0
+    adj = np.zeros((g.n_nodes, g.n_nodes))
+    u, v, _ = _edge_arrays(g)
+    adj[u, v] = 1.0
+    np.fill_diagonal(adj, 0.0)  # over any self-loop
     return adj
 
 

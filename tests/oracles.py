@@ -3,13 +3,15 @@
 oracle_min_path_fixed_length enumerates walks by brute force and refuses
 instances too large to enumerate; truncated_series sums the Kleene series
 through a given power; ref_kleene_star is the full-matrix Floyd-Warshall
-loop that the tiled kleene_star must match bit for bit, and
+loop that the blocked kleene_star must match bit for bit, and
 ref_waypoint_search is the waypoint search that scores every candidate in
 full, in sample order, which the pruned search must match. The full_table_*
 functions are the 2-norm engine's Newton targets and envelope walk as
-they were before they skipped untied and unmoving rows. identity,
-tropical_allclose, min_plus_apply and render_edge_list were public names
-of the package that only tests called.
+they were before they skipped untied and unmoving rows. The
+ref_graph_to_* functions are the edge-at-a-time loops that the array
+conversions must match byte for byte. identity, tropical_allclose,
+min_plus_apply and render_edge_list were public names of the package that
+only tests called.
 """
 
 import itertools
@@ -57,6 +59,31 @@ def render_edge_list(g: Graph) -> str:
         f"{g.node_labels[u]} {g.node_labels[v]} {format(w, '.17g')}" for u, v, w in g.edges
     ]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def ref_graph_to_tropical(g: Graph) -> np.ndarray:
+    """Weight matrix built one stored edge at a time; Python's min keeps the
+    earlier of two equal weights."""
+    data = np.full((g.n_nodes, g.n_nodes), INF)
+    np.fill_diagonal(data, 0.0)
+    for u, v, w in g.edges:
+        if u == v:
+            continue
+        data[u, v] = min(data[u, v], w)
+        if not g.directed:
+            data[v, u] = min(data[v, u], w)
+    return data
+
+
+def ref_graph_to_adjacency(g: Graph) -> np.ndarray:
+    """0/1 adjacency built one stored edge at a time, self-loops dropped."""
+    adj = np.zeros((g.n_nodes, g.n_nodes))
+    for u, v, _ in g.edges:
+        if u != v:
+            adj[u, v] = 1.0
+            if not g.directed:
+                adj[v, u] = 1.0
+    return adj
 
 
 class ScaleRefusalError(Exception):

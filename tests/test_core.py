@@ -198,8 +198,9 @@ def test_kleene_star_truncated_series(example_a):
 
 def closure_cases(n):
     """(name, one-hop matrix) pairs at size n: integer and real weights,
-    directed and undirected, two components, and a symmetric negative
-    entry, which closes a negative cycle."""
+    directed and undirected, two components, a symmetric negative entry,
+    which closes a negative cycle, and a directed negative edge inside
+    the first pivot block, which does not."""
     rng = np.random.default_rng(n)
     base = rng.integers(1, 10, size=(n, n)).astype(float)
     base[rng.random((n, n)) < 0.9] = INF
@@ -209,6 +210,9 @@ def closure_cases(n):
     cut |= cut.T
     negative = np.minimum(base, base.T)
     negative[0, min(1, n - 1)] = negative[min(1, n - 1), 0] = -1.0
+    backward = real.copy()
+    if n > 1:  # every other edge weighs at least 0.1*pi > 0.3
+        backward[min(5, n - 1), min(3, n - 2)] = -0.3
     return [
         ("integer directed", base),
         ("integer undirected", np.minimum(base, base.T)),
@@ -217,13 +221,15 @@ def closure_cases(n):
         ("disconnected directed", np.where(cut, INF, real)),
         ("disconnected undirected", np.where(cut, INF, np.minimum(real, real.T))),
         ("symmetric negative entry", negative),
+        ("directed negative edge", backward),
     ]
 
 
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 200])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 33, 63, 64, 65, 129, 200])
 def test_kleene_star_matches_full_matrix_reference(n):
-    # the row-tiled closure, upper triangle only on symmetric input, equals
-    # the full-matrix loop byte for byte on both sides of each tile edge
+    # the blocked closure, upper triangle only on symmetric input, equals
+    # the full-matrix loop byte for byte on both sides of each block and
+    # tile edge, and with a partial last block
     raised = 0
     for name, a in closure_cases(n):
         try:
@@ -247,7 +253,7 @@ def test_kleene_star_memory_is_one_matrix_and_a_tile():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.7 * n * n * 8  # D, a bool symmetry test, O(TILE_ROWS*n) scratch; no copy of D
+    assert peak < 1.7 * n * n * 8  # D and O(CLOSURE_BLOCK*CLOSURE_ROWS*n) scratch; no copy of D
 
 
 def test_kleene_star_idempotent_and_dominated():

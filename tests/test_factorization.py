@@ -32,13 +32,14 @@ from minplus import (
 )
 
 import minplus.factorization as factorization
-from minplus.core import TILE_ROWS, _mp
+from minplus.core import _mp
 from minplus.factorization import (
     DECAY_PATIENCE,
     INNER_MAX_ITER,
     MU_DECAY,
     MU_FLOOR,
     SYM_TOL,
+    TILE_ROWS,
     _bound_fill,
     _jacobi_apply,
     _jacobi_setup,

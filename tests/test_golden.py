@@ -7,9 +7,10 @@ golden/graph30_real.edges is the same graph with every weight scaled by
 integers and rounding shows. golden/graph150_real.edges is a larger graph
 of the same kind: 150 nodes and 375 edges (a random spanning tree plus
 chords) with weights 0.1*pi*(1..9), enough to span three row tiles of
-the closure and the waypoint scan. Each case runs one CLI command on one of
-them and compares every data file it writes with the copy under
-golden/<case>/. Reports are not compared; they hold timings.
+the waypoint scan and to end the closure on a partial block of pivots.
+Each case runs one CLI command on one of them and compares every data
+file it writes with the copy under golden/<case>/. Reports are not
+compared; they hold timings.
 
 `PYTHONPATH=src python tests/test_golden.py [CASE ...]` writes the named
 cases, or every case when none is named. Generate a new case before
@@ -94,7 +95,7 @@ CASES = {
         FACTOR_FILES,
         REAL_GRAPH,
     ),
-    # 150 nodes span three row tiles of the closure and the waypoint scan
+    # 150 nodes: three row tiles of the waypoint scan, a partial last closure block
     "spd-tiles": (["spd"], ("spd.csv",), TILES_GRAPH),
     "factor-actual-tiles": (
         ["factor", "--mode", "actual", "--rank", "5", "--budget", "400", "--seed", "7"],

@@ -20,7 +20,13 @@ from minplus import (
 )
 
 from conftest import random_nonneg_graph_matrix
-from oracles import ScaleRefusalError, oracle_min_path_fixed_length, render_edge_list
+from oracles import (
+    ScaleRefusalError,
+    oracle_min_path_fixed_length,
+    ref_graph_to_adjacency,
+    ref_graph_to_tropical,
+    render_edge_list,
+)
 
 GML_TRIANGLE = """
 graph [
@@ -143,6 +149,27 @@ def test_graph_to_tropical_ignores_self_loops():
     g = Graph(node_labels=("a", "b"), edges=((0, 0, 3.0), (0, 1, 2.0)), directed=False)
     a = graph_to_tropical(g).data
     assert a[0, 0] == 0.0 and a[0, 1] == 2.0
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_graph_conversions_match_edge_loops(directed):
+    # self-loops, anti-parallel and parallel edges, 0.0 and -0.0 tying on
+    # one entry (the first stored wins), one node, and no edges
+    labels = tuple("abcde")
+    cases = [
+        Graph(labels, ((0, 0, 3.0), (0, 1, 2.0), (1, 0, 5.0), (2, 3, -0.0), (3, 2, 0.0),
+                       (1, 2, 7.0), (1, 2, 1.5), (4, 4, 0.0), (3, 4, 0.0), (4, 3, -0.0)), directed),
+        Graph(labels, ((2, 1, 0.0), (1, 2, -0.0), (0, 4, -0.0), (0, 4, 0.0)), directed),
+        Graph(("a",), ((0, 0, 1.0),), directed),
+        Graph(("a",), (), directed),
+        Graph(labels, (), directed),
+        Graph((), (), directed),
+    ]
+    for g in cases:
+        assert graph_to_tropical(g).data.tobytes() == ref_graph_to_tropical(g).tobytes()
+        assert graph_to_adjacency(g).tobytes() == ref_graph_to_adjacency(g).tobytes()
+    signs = np.signbit(graph_to_tropical(cases[1]).data)
+    assert signs[0, 4] and signs[1, 2] == directed  # the first stored zero wins each tie
 
 
 def test_graph_to_adjacency_is_binary():
