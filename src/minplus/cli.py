@@ -173,14 +173,9 @@ def _read_vector_csv(path: str, what: str) -> np.ndarray:
 
 def _cmd_spd(args, out_dir: Path):
     graph, matrix = _load_input(args)
-    if graph is not None:
-        result = shortest_path_matrix(graph)
-        n = graph.n_nodes
-    else:
-        result = kleene_star(matrix)
-        n = matrix.rows
+    result = shortest_path_matrix(graph) if graph is not None else kleene_star(matrix)
     out_path = _write(out_dir / args.out, write_matrix_csv(result))
-    return [out_path], {"nodes": n}
+    return [out_path], {"nodes": result.rows}
 
 
 def _cmd_regress(args, out_dir: Path):
@@ -204,26 +199,9 @@ def _cmd_regress(args, out_dir: Path):
     return [out_path], {"residual_norm": record["residual_norm"]}
 
 
-def _factor_record(mode, rank, pair, labels, waypoints=None):
-    record = {
-        "mode": mode,
-        "rank": rank,
-        "residual": float(pair.residual),
-        "restarts_used": pair.restarts_used,
-        "labels": list(labels),
-        "left": pair.left.data.tolist(),
-        "right": pair.right.data.tolist(),
-        "residual_trace": list(pair.iteration_trace),
-    }
-    if waypoints is not None:
-        record["waypoints"] = [int(w) + 1 for w in waypoints]  # 1-based positions
-    return record
-
-
 def _cmd_factor(args, out_dir: Path):
     matrix, labels = _distance_input(args)
-    n = matrix.rows
-    if args.rank > max(min(matrix.shape), 1):
+    if args.rank > min(matrix.shape):
         raise UsageError(f"--rank {args.rank} exceeds the input size {min(matrix.shape)}")
     waypoints = None
     if args.mode == "sym":
@@ -232,18 +210,25 @@ def _cmd_factor(args, out_dir: Path):
         pair = nonsym_factorize(matrix, args.rank, _nonsym_config(args))
     else:  # actual
         waypoints, pair = actual_waypoint_search(matrix, args.rank, budget=args.budget, seed=args.seed)
-    record = _factor_record(args.mode, args.rank, pair, labels, waypoints)
+    record = {
+        "mode": args.mode,
+        "rank": args.rank,
+        "residual": float(pair.residual),
+        "restarts_used": pair.restarts_used,
+        "labels": list(labels),
+        "left": pair.left.data.tolist(),
+        "right": pair.right.data.tolist(),
+        "residual_trace": list(pair.iteration_trace),
+    }
+    extras = {"residual": record["residual"], "restarts_used": pair.restarts_used, "nodes": matrix.rows}
+    if waypoints is not None:
+        record["waypoints"] = extras["waypoints"] = [int(w) + 1 for w in waypoints]  # 1-based positions
     stem = Path(args.out).stem
     outputs = [
         _write(out_dir / args.out, _json_text(record)),
         _write(out_dir / f"{stem}_left.csv", write_matrix_csv(pair.left)),
         _write(out_dir / f"{stem}_right.csv", write_matrix_csv(pair.right)),
     ]
-    extras = {"residual": record["residual"], "restarts_used": pair.restarts_used}
-    if waypoints is not None:
-        extras["waypoints"] = record["waypoints"]
-    if n:
-        extras["nodes"] = n
     return outputs, extras
 
 
@@ -259,7 +244,7 @@ def _baseline_matrix(args) -> np.ndarray:
 
 def _cmd_baseline(args, out_dir: Path):
     data = _baseline_matrix(args)
-    if args.rank > max(min(data.shape), 1):
+    if args.rank > min(data.shape):
         raise UsageError(f"--rank {args.rank} exceeds the input size {min(data.shape)}")
     if args.method == "svd":
         if not np.isfinite(data).all():
@@ -325,19 +310,17 @@ def _cmd_residual_curve(args, out_dir: Path):
         for m in range(1, max_rank + 1):
             result = nnmf(data, m, iters=args.iters, seed=args.seed)
             rows.append((m, relative(result.residual_trace[-1])))
-    elif args.method == "minplus-general":
-        prev = None
+    else:  # minplus-sym or minplus-general: each rank also starts from the last rank's pair
+        pair = None
         for m in range(1, max_rank + 1):
-            extra = ((_pad_rank_init(prev[0]), _pad_rank_init(prev[1].T).T),) if prev is not None else ()
-            pair = nonsym_factorize(matrix_for_rank, m, _nonsym_config(args), extra_inits=extra)
-            prev = (pair.left.data, pair.right.data)
-            rows.append((m, relative(pair.residual)))
-    else:  # minplus-sym
-        prev_left = None
-        for m in range(1, max_rank + 1):
-            extra = (_pad_rank_init(prev_left),) if prev_left is not None else ()
-            pair = sym_factorize(matrix_for_rank, _sym_config(args, m), extra_inits=extra)
-            prev_left = pair.left.data
+            if args.method == "minplus-sym":
+                extra = () if pair is None else (_pad_rank_init(pair.left.data),)
+                pair = sym_factorize(matrix_for_rank, _sym_config(args, m), extra_inits=extra)
+            else:
+                extra = () if pair is None else (
+                    (_pad_rank_init(pair.left.data), _pad_rank_init(pair.right.data.T).T),
+                )
+                pair = nonsym_factorize(matrix_for_rank, m, _nonsym_config(args), extra_inits=extra)
             rows.append((m, relative(pair.residual)))
     if not np.isfinite([v for _, v in rows]).all():
         raise DomainError("residual curve is not finite; use a smaller --cap")

@@ -108,6 +108,10 @@ class NonsymFactorConfig:
     seed: int = 0
     gauss_seidel: bool = False
 
+    def __post_init__(self) -> None:
+        if self.max_iter < 1 or self.restarts < 1:
+            raise ValueError("max_iter and restarts must be >= 1")
+
 
 def _check_symmetric_distance(D: TropicalMatrix) -> np.ndarray:
     """D's array, once square, symmetric and finite; warns (once per matrix) unless D (x) D = D."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +45,6 @@ class Graph:
         return len(self.node_labels)
 
 
-def _register(label: str, index_of: dict[str, int], order: list[str]) -> int:
-    if label not in index_of:
-        index_of[label] = len(order)
-        order.append(label)
-    return index_of[label]
-
-
 def _edge_key(u: int, v: int, directed: bool) -> tuple[int, int]:
     if directed or u <= v:
         return (u, v)
@@ -72,8 +66,7 @@ def load_edge_list(text: str, directed: bool = False) -> Graph:
     registered in first-appearance order, and repeated edges keep the
     minimum weight (for undirected input, regardless of orientation).
     """
-    index_of: dict[str, int] = {}
-    order: list[str] = []
+    index_of: dict[str, int] = {}  # labels in first-appearance order
     keyed: list[tuple[tuple[int, int], float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -82,8 +75,8 @@ def load_edge_list(text: str, directed: bool = False) -> Graph:
         tokens = line.split()
         if len(tokens) not in (2, 3):
             raise ParseError(f"line {lineno}: expected 'u v [w]', got {len(tokens)} tokens")
-        u = _register(tokens[0], index_of, order)
-        v = _register(tokens[1], index_of, order)
+        u = index_of.setdefault(tokens[0], len(index_of))
+        v = index_of.setdefault(tokens[1], len(index_of))
         if len(tokens) == 3:
             try:
                 w = float(tokens[2])
@@ -96,33 +89,19 @@ def load_edge_list(text: str, directed: bool = False) -> Graph:
         if w < 0:
             raise DomainError(f"line {lineno}: negative weight {w}")
         keyed.append((_edge_key(u, v, directed), w))
-    return Graph(tuple(order), _min_weight_edges(keyed), directed)
+    return Graph(tuple(index_of), _min_weight_edges(keyed), directed)
+
+
+# a bracket, a quoted string (its closing quote missing only at the end of
+# the text), or a run of other non-space characters; \s is str.isspace()
+_GML_TOKEN = re.compile(r'[\[\]]|"[^"]*"?|[^\s\[\]]+')
 
 
 def _tokenize_gml(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "[]":
-            tokens.append(c)
-            i += 1
-        elif c == '"':
-            end = text.find('"', i + 1)
-            if end < 0:
-                raise ParseError("unterminated string literal")
-            tokens.append(text[i + 1 : end])
-            i = end + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "[]":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+    tokens = _GML_TOKEN.findall(text)
+    if tokens and tokens[-1][0] == '"' and (len(tokens[-1]) == 1 or tokens[-1][-1] != '"'):
+        raise ParseError("unterminated string literal")
+    return [t[1:-1] if t[0] == '"' else t for t in tokens]
 
 
 def _parse_gml_block(tokens: list[str], pos: int) -> tuple[list[tuple[str, object]], int]:
@@ -159,9 +138,10 @@ def _scalar(items: list[tuple[str, object]], key: str) -> str | None:
 def load_gml_subset(text: str) -> Graph:
     """Parse minimal GML: graph [ node [ id N ] edge [ source N target N value W ] ].
 
-    Attributes other than id/source/target/value (including nested blocks
-    such as graphics) are skipped. `directed 1` switches to a directed
-    graph; edge weights default to 1.0.
+    Node labels are the ids, in block order. Attributes other than
+    id/source/target/value (label and nested blocks such as graphics
+    included) are skipped. `directed 1` switches to a directed graph;
+    edge weights default to 1.0.
     """
     tokens = _tokenize_gml(text)
     pos = 0
@@ -180,7 +160,7 @@ def load_gml_subset(text: str) -> Graph:
         raise ParseError("no graph block found")
 
     directed = False
-    ids: list[str] = []
+    index_of: dict[str, int] = {}
     raw_edges: list[tuple[str, str, float]] = []
     for key, value in graph_items:
         if key == "directed" and isinstance(value, str):
@@ -189,9 +169,9 @@ def load_gml_subset(text: str) -> Graph:
             node_id = _scalar(value, "id")
             if node_id is None:
                 raise ParseError("node block without an id")
-            if node_id in ids:
+            if node_id in index_of:
                 raise ParseError(f"duplicate node id {node_id!r}")
-            ids.append(node_id)
+            index_of[node_id] = len(index_of)
         elif key == "edge" and isinstance(value, list):
             source = _scalar(value, "source")
             target = _scalar(value, "target")
@@ -207,7 +187,6 @@ def load_gml_subset(text: str) -> Graph:
                     raise ParseError(f"cannot parse edge value {raw_value!r}") from None
             raw_edges.append((source, target, w))
 
-    index_of = {node_id: i for i, node_id in enumerate(ids)}
     keyed: list[tuple[tuple[int, int], float]] = []
     for source, target, w in raw_edges:
         if source not in index_of:
@@ -219,7 +198,7 @@ def load_gml_subset(text: str) -> Graph:
         if w < 0:
             raise DomainError(f"edge ({source}, {target}) has negative weight {w}")
         keyed.append((_edge_key(index_of[source], index_of[target], directed), w))
-    return Graph(tuple(ids), _min_weight_edges(keyed), directed)
+    return Graph(tuple(index_of), _min_weight_edges(keyed), directed)
 
 
 def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import INF, TropicalMatrix, _data_of, _mp
-from .errors import DomainError, UnboundedColumnError
+from .errors import DomainError, ShapeError, UnboundedColumnError
 
 TIE_TOL = 1e-9
 BATCH_ELEMENTS = 2**16  # a batch block holds p*n*d <= max(Y.size, this) elements
@@ -45,7 +45,7 @@ class RegressionOutcome:
 def _check_rhs(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (a.shape[0],):
-        raise DomainError(f"rhs length {y.shape} does not match {a.shape[0]} rows")
+        raise ShapeError(f"rhs length {y.shape} does not match {a.shape[0]} rows")
     if not np.isfinite(y).all():
         raise DomainError("rhs must be finite")
     return y
@@ -287,7 +287,7 @@ def newton_directed_line_search(
     else:
         x = np.asarray(x0, dtype=float).copy()
         if x.shape != (a.shape[1],):
-            raise DomainError(f"x0 length {x.shape} does not match {a.shape[1]} columns")
+            raise ShapeError(f"x0 length {x.shape} does not match {a.shape[1]} columns")
         if not np.isfinite(x).all():
             raise DomainError("x0 must be finite")
     (x,), (iterations,), (converged,), (trace,) = _newton_batch(a, y[None], x[None], cfg)

@@ -9,7 +9,9 @@ full, in sample order, which the pruned search must match. The full_table_*
 functions are the 2-norm engine's Newton targets and envelope walk as
 they were before they skipped untied and unmoving rows. The
 ref_graph_to_* functions are the edge-at-a-time loops that the array
-conversions must match byte for byte. identity, tropical_allclose,
+conversions must match byte for byte, and ref_tokenize_gml is the
+character scanner that the GML tokenizer's regular expression replaced.
+identity, tropical_allclose,
 min_plus_apply and render_edge_list were public names of the package that
 only tests called.
 """
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from minplus import INF, DomainError, Graph, NegativeCycleError, TropicalMatrix, mp_multiply
+from minplus import INF, DomainError, Graph, NegativeCycleError, ParseError, TropicalMatrix, mp_multiply
 from minplus.factorization import _waypoint_product
 
 ORACLE_MAX_NODES = 7
@@ -84,6 +86,34 @@ def ref_graph_to_adjacency(g: Graph) -> np.ndarray:
             if not g.directed:
                 adj[v, u] = 1.0
     return adj
+
+
+def ref_tokenize_gml(text: str) -> list[str]:
+    """GML tokens one character at a time: brackets, quoted strings without
+    their quotes, and runs of other non-space characters."""
+    tokens: list[str] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "[]":
+            tokens.append(c)
+            i += 1
+        elif c == '"':
+            end = text.find('"', i + 1)
+            if end < 0:
+                raise ParseError("unterminated string literal")
+            tokens.append(text[i + 1 : end])
+            i = end + 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in "[]":
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+    return tokens
 
 
 class ScaleRefusalError(Exception):

@@ -225,6 +225,22 @@ def test_regress_rejects_matrix_rhs(tmp_path):
     assert rc == 3
 
 
+# A has 3 rows and 2 columns: the rhs needs length 3 and x0 length 2
+@pytest.mark.parametrize("rhs, x0", [("short.csv", "short.csv"), ("y.csv", "y.csv")], ids=["rhs", "x0"])
+def test_regress_length_mismatch_exits_3(tmp_path, rhs, x0):
+    (tmp_path / "A.csv").write_text("0,0\n1,0\n0,1\n")
+    (tmp_path / "y.csv").write_text("0\n1\n1\n")
+    (tmp_path / "short.csv").write_text("0\n1\n")
+    rc = main(
+        [
+            "regress", "--matrix", str(tmp_path / "A.csv"), "--rhs", str(tmp_path / rhs),
+            "--norm", "2", "--x0", str(tmp_path / x0), "--out-dir", str(tmp_path),
+        ]
+    )
+    assert rc == 3
+    assert not (tmp_path / "regress.json").exists()
+
+
 def test_baseline_svd_on_graph(edges_file, tmp_path):
     rc = main(
         [
@@ -460,6 +476,20 @@ def test_usage_errors_exit_2(edges_file, tmp_path):
         ["factor", "--input", str(edges_file), "--rank", "9", "--out-dir", str(tmp_path)]
     )
     assert rc == 2  # rank exceeds the input size
+
+
+@pytest.mark.parametrize("name", ["empty.edges", "empty.csv"])
+@pytest.mark.parametrize(
+    "command",
+    [["factor"], ["baseline", "--method", "svd"], ["baseline", "--method", "nnmf"]],
+    ids=["factor", "svd", "nnmf"],
+)
+def test_rank_above_empty_input_exits_2(tmp_path, name, command):
+    src = tmp_path / name
+    src.write_text("")
+    argv = [*command, "--input", str(src), "--rank", "1", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert list(tmp_path.glob("*.json")) == []
 
 
 def test_parse_errors_exit_3(tmp_path):

@@ -621,6 +621,13 @@ def test_sym_factorize_input_validation(example_d):
         SymFactorConfig(rank=1, shoot=1.5)
 
 
+@pytest.mark.parametrize("counts", [{"restarts": 0}, {"max_iter": 0}, {"max_iter": -1}])
+def test_configs_reject_counts_below_one(counts):
+    for config in (partial(SymFactorConfig, rank=1), NonsymFactorConfig):
+        with pytest.raises(ValueError, match="max_iter and restarts must be >= 1"):
+            config(**counts)
+
+
 def test_residual_of_given_factor_reference_value(example_d, example_f):
     r = residual_of_given_factor(example_d, example_f)
     assert r == pytest.approx(4.5680, abs=1e-3)

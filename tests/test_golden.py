@@ -8,9 +8,11 @@ integers and rounding shows. golden/graph150_real.edges is a larger graph
 of the same kind: 150 nodes and 375 edges (a random spanning tree plus
 chords) with weights 0.1*pi*(1..9), enough to span three row tiles of
 the waypoint scan and to end the closure on a partial block of pivots.
-Each case runs one CLI command on one of them and compares every data
-file it writes with the copy under golden/<case>/. Reports are not
-compared; they hold timings.
+golden/graph30.gml is graph30.edges in GML, its nodes listed in the edge
+list's order of first appearance, with a top-level Creator line, quoted
+labels and a graphics block per node. Each case runs one CLI command on
+one of them and compares every data file it writes with the copy under
+golden/<case>/. Reports are not compared; they hold timings.
 
 `PYTHONPATH=src python tests/test_golden.py [CASE ...]` writes the named
 cases, or every case when none is named. Generate a new case before
@@ -29,6 +31,7 @@ GOLDEN = Path(__file__).parent / "golden"
 GRAPH = GOLDEN / "graph30.edges"
 REAL_GRAPH = GOLDEN / "graph30_real.edges"
 TILES_GRAPH = GOLDEN / "graph150_real.edges"
+GML_GRAPH = GOLDEN / "graph30.gml"
 FACTOR_FILES = ("factors.json", "factors_left.csv", "factors_right.csv")
 
 CASES = {
@@ -106,6 +109,14 @@ CASES = {
     "baseline-nnmf": (
         ["baseline", "--method", "nnmf", "--rank", "3", "--iters", "300", "--seed", "7"],
         ("baseline_w.csv", "baseline_h.csv", "baseline_trace.csv"),
+    ),
+    # graph30 in GML: a Creator line, quoted labels and graphics blocks around it
+    "spd-gml": (["spd"], ("spd.csv",), GML_GRAPH),
+    # the two residual-curve branches that warm-start no rank
+    "curve-svd": (["residual-curve", "--method", "svd", "--max-rank", "6"], ("curve.csv",)),
+    "curve-nnmf": (
+        ["residual-curve", "--method", "nnmf", "--iters", "50", "--max-rank", "4", "--seed", "7"],
+        ("curve.csv",),
     ),
 }
 

@@ -18,6 +18,7 @@ from minplus import (
     mp_power,
     shortest_path_matrix,
 )
+from minplus.graphs import _tokenize_gml
 
 from conftest import random_nonneg_graph_matrix
 from oracles import (
@@ -25,6 +26,7 @@ from oracles import (
     oracle_min_path_fixed_length,
     ref_graph_to_adjacency,
     ref_graph_to_tropical,
+    ref_tokenize_gml,
     render_edge_list,
 )
 
@@ -121,10 +123,48 @@ def test_gml_errors():
         load_gml_subset("graph [ node [ id 1 ]")  # unbalanced
     with pytest.raises(ParseError):
         load_gml_subset("graph [ node [ id 1 ] edge [ source 1 target 5 ] ]")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="duplicate node id '1'"):
         load_gml_subset("graph [ node [ id 1 ] node [ id 1 ] ]")
     with pytest.raises(ParseError):
         load_gml_subset("node [ id 1 ]")  # no graph block
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def test_gml_tokens_match_scanner_reference():
+    # \x1c and \x85 are str.isspace() characters outside ASCII's usual six,
+    # \u200b is a zero-width character that is not whitespace
+    alphabet = list('[]""ab1.-é') + [" ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2003", "\u3000", "\u200b"]
+    rng = np.random.default_rng(15)
+    texts = ['"', 'a"b', 'key "open', 'x [ "a ] b" ]', '""', 'a""b"c d"', "\x1ca\x85b\u3000[c]"]
+    texts += ["".join(rng.choice(alphabet, size=rng.integers(0, 24))) for _ in range(3000)]
+    for text in texts:
+        assert _tokens_or_error(_tokenize_gml, text) == _tokens_or_error(ref_tokenize_gml, text), repr(text)
+    assert _tokenize_gml('a"b "c d"') == ['a"b', "c d"]
+    with pytest.raises(ParseError, match="unterminated string literal"):
+        _tokenize_gml('graph [ label "x ]')
+
+
+def test_labels_in_first_appearance_order_with_repeats_and_self_loops():
+    text = "b a 2\na b 1\nc c 4\nb c\nd d\na d 3\n"
+    g = load_edge_list(text)
+    assert g.node_labels == ("b", "a", "c", "d")
+    assert g.edges == ((0, 1, 1.0), (2, 2, 4.0), (0, 2, 1.0), (3, 3, 1.0), (1, 3, 3.0))
+    g = load_edge_list(text, directed=True)
+    assert g.node_labels == ("b", "a", "c", "d")
+    assert g.edges == ((0, 1, 2.0), (1, 0, 1.0), (2, 2, 4.0), (0, 2, 1.0), (3, 3, 1.0), (1, 3, 3.0))
+    # GML labels are the node ids in block order; a label attribute is skipped
+    g = load_gml_subset(
+        'graph [ node [ id 5 label "five" ] node [ id 1 label "n1" ] node [ id 3 ] '
+        "edge [ source 3 target 3 ] edge [ source 1 target 5 value 2 ] edge [ source 5 target 1 value 1 ] ]"
+    )
+    assert g.node_labels == ("5", "1", "3")
+    assert g.edges == ((2, 2, 1.0), (0, 1, 1.0))
 
 
 def test_graph_constructor_validates():

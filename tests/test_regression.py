@@ -9,6 +9,7 @@ from minplus import (
     INF,
     DomainError,
     RegressionConfig,
+    ShapeError,
     TropicalMatrix,
     UnboundedColumnError,
     chebyshev_regression,
@@ -403,6 +404,15 @@ def test_line_search_rejects_bad_inputs():
     good = TropicalMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(DomainError):
         newton_directed_line_search(good, np.array([0.0, 0.0]), x0=np.array([0.0, INF]))
+
+
+def test_length_mismatches_raise_shape_error():
+    a = TropicalMatrix(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 0.0]]))
+    for solve in (chebyshev_regression, principal_solution, newton_directed_line_search):
+        with pytest.raises(ShapeError, match="rhs length"):
+            solve(a, np.zeros(2))
+    with pytest.raises(ShapeError, match="x0 length"):
+        newton_directed_line_search(a, np.zeros(3), x0=np.zeros(3))
 
 
 # Loop references for the array code in regression.py: the per-row
