@@ -42,7 +42,7 @@ NONSYM_TOL = 1e-8  # general driver: stop once no factor entry moves this far
 INNER_MAX_ITER = 50  # 2-norm regression steps per row or column sweep
 KMEANS_MAX_ITER = 50  # Lloyd iterations of the kmeans start
 # a block of symmetric starts holds P*n^2 <= max(n^2, this) entries (P = 4 at
-# n = 62); larger blocks measured no faster, and their arrays leave the cache
+# n = 62); blocks 2-4x larger ran 3-17% faster there, under 10% in most sets
 SYM_BLOCK_ELEMENTS = 2**14
 # drop a candidate whose partial sum of squares exceeds best^2 by this much, far
 # above the rounding gap between tile sums and np.sum: it could neither win nor tie
@@ -168,11 +168,11 @@ def actual_waypoint(D: TropicalMatrix, W) -> FactorPair:
 
 
 def _outer_sum(out: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
-    """out[i,j] = col[i] + row[j] in a contiguous tile: filled with the
+    """out[..., i, j] = col[..., i] + row[..., j] in a contiguous tile: filled with the
     column, then the row added in place, which runs faster than one
     broadcast add whose column operand has stride 0 along the inner axis."""
-    np.copyto(out, col[:, None])
-    np.add(out, row, out=out)
+    np.copyto(out, col[..., None])
+    np.add(out, row[..., None, :], out=out)
 
 
 def _tile_sums(d: np.ndarray, buf: np.ndarray, fill):
@@ -266,45 +266,48 @@ def _sym_product(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     K[p,i,j] is the smallest column attaining min_k(f_pik + f_pjk). The
     product folds with np.minimum; a column that is strictly smaller
     raises the selector to k, and every earlier selector is below k, so
-    ties keep the earlier column, exactly as argmin does. Scratch memory
-    is O(P*n^2); the P x n x n x m tensor of pair values is never formed.
+    ties keep the earlier column, exactly as argmin does. K is symmetric
+    and of dtype np.min_scalar_type(m - 1), one byte up to m = 256. Scratch
+    memory is O(P*n^2); the P x n x n x m pair tensor is never formed.
     """
     m = f.shape[2]
-    product = f[:, :, None, 0] + f[:, None, :, 0]
-    selectors = np.zeros(product.shape, dtype=np.intp)
+    cols = np.ascontiguousarray(np.moveaxis(f, 2, 0))  # (m, P, n): column k of each start
+    product = cols[0][:, :, None] + cols[0][:, None, :]
+    selectors = np.zeros(product.shape, dtype=np.min_scalar_type(m - 1))
     column = np.empty_like(product)
     better = np.empty(product.shape, dtype=bool)
     for k in range(1, m):
-        np.add(f[:, :, None, k], f[:, None, :, k], out=column)
+        _outer_sum(column, cols[k], cols[k])
         np.less(column, product, out=better)
         np.minimum(product, column, out=product)
-        np.maximum(selectors, better * k, out=selectors)
+        np.maximum(selectors, better.view(np.uint8) * selectors.dtype.type(k), out=selectors)
     return product, selectors
 
 
-def _jacobi_setup(d: np.ndarray, selectors: np.ndarray, m: int):
+def _jacobi_setup(dt: np.ndarray, selectors: np.ndarray, m: int):
     """Tables for Jacobi sweeps of each start's quadratic frozen at its
-    (P, n, n) selectors K.
+    symmetric (P, n, n) selectors K; dt is D^T (D itself when symmetric).
 
     K comes from _sym_product, so a tied pair belongs to its smallest
-    attaining column. Pair (i,j) of start p feeds entry (p, i, K[p,i,j])
-    of the update, so every per-entry sum over j is a bincount over the
-    flat index p*n*m + i*m + K[p,i,j]. Each start's bins collect its own
-    pairs in the one-start order, so its sums are bitwise the P = 1 ones.
-    The setup and each sweep need O(P*n^2) scratch memory and work,
-    independent of m.
+    attaining column. Entry (p,i,k) of the update sums over the j with
+    K[p,i,j] = k, by bincounts in column order: the walk over (p,i,j) adds
+    the term of pair (j,i) into bin gather = p*n*m + j*m + K[p,i,j], so
+    consecutive adds rarely wait on one bin. K is symmetric, so each bin
+    gets the terms of a row-order bincount in the same sequence, given
+    transposed weights (hence D^T): every sum is bitwise the row-order and
+    P = 1 one. The setup and each sweep need O(P*n^2) memory and work.
     """
     p, n = selectors.shape[:2]
-    rows, starts = np.arange(n), np.arange(p)[:, None]
-    offset = starts[:, :, None] * (n * m)
-    bins = (offset + rows[:, None] * m + selectors).ravel()
-    gather = (offset + rows[None, :] * m + selectors).ravel()  # flat position of fp[p, j, K[p,i,j]]
-    diag_hot = np.zeros((p, n, m))  # 1_pik: does row i anchor column k in start p
-    diag_hot[starts, rows, selectors[:, rows, rows]] = 1.0
-    d_diag = d[rows, rows][:, None]
-    count = np.bincount(bins, minlength=p * n * m).reshape(p, n, m)
-    weights = np.broadcast_to(d, (p, n, n)).ravel()  # a view of d when p = 1
-    d_sums = np.bincount(bins, weights=weights, minlength=p * n * m).reshape(p, n, m)
+    rows = np.arange(n)
+    offset = np.arange(p)[:, None, None] * (n * m)
+    bins = (offset + rows[:, None] * m + selectors).ravel()  # flat position of fp[p, i, K[p,i,j]]
+    gather = (offset + rows * m + selectors).ravel()  # flat position of fp[p, j, K[p,i,j]]
+    # 1_pik: does row i anchor column k in start p
+    diag_hot = (selectors[:, rows, rows, None] == np.arange(m)).astype(float)
+    d_diag = dt[rows, rows][:, None]
+    count = np.bincount(gather, minlength=p * n * m).reshape(p, n, m)
+    weights = np.broadcast_to(dt, (p, n, n)).ravel()  # a view of dt when p = 1 and dt is contiguous
+    d_sums = np.bincount(gather, weights=weights, minlength=p * n * m).reshape(p, n, m)
     static_num = d_sums - diag_hot * d_diag
     denominator = 2.0 * diag_hot + (count - diag_hot)
     positive = denominator > 0
@@ -317,11 +320,11 @@ def _jacobi_apply(setup, fp: np.ndarray) -> np.ndarray:
 
     Entry (i,k) becomes (d_ii*1_ik + sum_{j != i, K(i,j)=k} (d_ij - fp_jk))
     / (2*1_ik + #{j != i : K(i,j)=k}); zero denominators copy fp. The sum
-    over j gathers fp[p, j, K[p,i,j]] and bincounts it: O(P*n^2) time and
-    memory.
+    over j takes fp[p, i, K[p,i,j]] and bincounts it into the column-order
+    bins of _jacobi_setup: O(P*n^2) time and memory.
     """
     bins, gather, diag_hot, anchored_num, positive, denominator = setup
-    fp_sums = np.bincount(bins, weights=fp.ravel()[gather], minlength=fp.size).reshape(fp.shape)
+    fp_sums = np.bincount(gather, weights=fp.ravel().take(bins), minlength=fp.size).reshape(fp.shape)
     cross = fp_sums - diag_hot * fp
     return np.where(positive, (anchored_num - cross) / denominator, fp)
 
@@ -341,7 +344,7 @@ def jacobi_map(D: TropicalMatrix, F: TropicalMatrix, Fp: TropicalMatrix) -> Trop
         raise ShapeError(f"factor shapes disagree: D {d.shape}, F {f.shape}, Fp {fp.shape}")
     if not (np.isfinite(d).all() and np.isfinite(f).all() and np.isfinite(fp).all()):
         raise DomainError("jacobi_map needs finite inputs")
-    setup = _jacobi_setup(d, _sym_product(f[None])[1], f.shape[1])
+    setup = _jacobi_setup(d.T, _sym_product(f[None])[1], f.shape[1])
     return TropicalMatrix._wrap(_jacobi_apply(setup, fp[None])[0])
 
 
@@ -375,8 +378,9 @@ def _best_of_starts(outcomes, target: float = -np.inf) -> FactorPair:
 
 
 def _sym_residuals(d: np.ndarray, product: np.ndarray) -> np.ndarray:
-    """||D - product_p||_F for each start p, each summed as np.sum sums one."""
-    return np.sqrt(np.sum(((d - product) ** 2).reshape(len(product), -1), axis=1))
+    """||D - product_p||_F for each start p, summed as np.sum sums one; squares in place in product."""
+    np.square(np.subtract(d, product, out=product), out=product)
+    return np.sqrt(np.sum(product.reshape(len(product), -1), axis=1))
 
 
 def _sym_block(d: np.ndarray, f: np.ndarray, cfg: SymFactorConfig):

@@ -93,7 +93,8 @@ def load_edge_list(text: str, directed: bool = False) -> Graph:
 
 
 # a bracket, a quoted string (its closing quote missing only at the end of
-# the text), or a run of other non-space characters; \s is str.isspace()
+# the text), or a run of other non-space characters; \s is str.isspace().
+# A quoted string keeps its quotes, so only a bare bracket nests.
 _GML_TOKEN = re.compile(r'[\[\]]|"[^"]*"?|[^\s\[\]]+')
 
 
@@ -101,7 +102,11 @@ def _tokenize_gml(text: str) -> list[str]:
     tokens = _GML_TOKEN.findall(text)
     if tokens and tokens[-1][0] == '"' and (len(tokens[-1]) == 1 or tokens[-1][-1] != '"'):
         raise ParseError("unterminated string literal")
-    return [t[1:-1] if t[0] == '"' else t for t in tokens]
+    return tokens
+
+
+def _unquote(token: str) -> str:
+    return token[1:-1] if token[0] == '"' else token
 
 
 def _parse_gml_block(tokens: list[str], pos: int) -> tuple[list[tuple[str, object]], int]:
@@ -118,12 +123,12 @@ def _parse_gml_block(tokens: list[str], pos: int) -> tuple[list[tuple[str, objec
         if token == "[":
             raise ParseError("unexpected '['")
         if pos + 1 >= len(tokens):
-            raise ParseError(f"key {token!r} has no value")
+            raise ParseError(f"key {_unquote(token)!r} has no value")
         if tokens[pos + 1] == "[":
             inner, pos = _parse_gml_block(tokens, pos + 2)
-            items.append((token, inner))
+            items.append((_unquote(token), inner))
         else:
-            items.append((token, tokens[pos + 1]))
+            items.append((_unquote(token), _unquote(tokens[pos + 1])))
             pos += 2
     raise ParseError("unbalanced brackets: block not closed")
 
@@ -152,7 +157,7 @@ def load_gml_subset(text: str) -> Graph:
             raise ParseError("unbalanced brackets: stray ']'")
         if pos + 1 < len(tokens) and tokens[pos + 1] == "[":
             inner, pos = _parse_gml_block(tokens, pos + 2)
-            if token == "graph" and graph_items is None:
+            if _unquote(token) == "graph" and graph_items is None:
                 graph_items = inner
         else:
             pos += 2  # top-level scalar attribute such as Creator

@@ -11,6 +11,9 @@ they were before they skipped untied and unmoving rows. The
 ref_graph_to_* functions are the edge-at-a-time loops that the array
 conversions must match byte for byte, and ref_tokenize_gml is the
 character scanner that the GML tokenizer's regular expression replaced.
+ref_jacobi_setup and ref_jacobi_apply are the Jacobi setup and sweep with
+their bincounts in row order, which the column-order kernels must match
+bit for bit.
 identity, tropical_allclose,
 min_plus_apply and render_edge_list were public names of the package that
 only tests called.
@@ -199,6 +202,35 @@ def ref_waypoint_search(d, m, budget, seed):
         if res < best_res or (res == best_res and (best_w is None or tuple(w) < best_w)):
             best_w, best_left, best_res = tuple(w), left, res
     return best_w, best_left, best_res
+
+
+def ref_jacobi_setup(d, selectors, m):
+    """Row-order Jacobi tables for (P, n, n) selectors: pair (i,j) of start
+    p feeds bin p*n*m + i*m + K[p,i,j] with weight d[i,j]."""
+    p, n = selectors.shape[:2]
+    rows, starts = np.arange(n), np.arange(p)[:, None]
+    offset = starts[:, :, None] * (n * m)
+    bins = (offset + rows[:, None] * m + selectors).ravel()
+    gather = (offset + rows[None, :] * m + selectors).ravel()  # flat position of fp[p, j, K[p,i,j]]
+    diag_hot = np.zeros((p, n, m))
+    diag_hot[starts, rows, selectors[:, rows, rows]] = 1.0
+    d_diag = d[rows, rows][:, None]
+    count = np.bincount(bins, minlength=p * n * m).reshape(p, n, m)
+    weights = np.broadcast_to(d, (p, n, n)).ravel()
+    d_sums = np.bincount(bins, weights=weights, minlength=p * n * m).reshape(p, n, m)
+    static_num = d_sums - diag_hot * d_diag
+    denominator = 2.0 * diag_hot + (count - diag_hot)
+    positive = denominator > 0
+    anchored_num = d_diag * diag_hot + static_num
+    return bins, gather, diag_hot, anchored_num, positive, np.where(positive, denominator, 1.0)
+
+
+def ref_jacobi_apply(setup, fp):
+    """One row-order Jacobi sweep of (P, n, m) values fp."""
+    bins, gather, diag_hot, anchored_num, positive, denominator = setup
+    fp_sums = np.bincount(bins, weights=fp.ravel()[gather], minlength=fp.size).reshape(fp.shape)
+    cross = fp_sums - diag_hot * fp
+    return np.where(positive, (anchored_num - cross) / denominator, fp)
 
 
 def full_table_newton_targets(a, Y, X, sel, near):

@@ -79,6 +79,28 @@ def test_spd_accepts_gml(tmp_path):
     assert got[0, 2] == 4.0  # opposite corners of the 4-cycle
 
 
+def test_spd_accepts_gml_with_quoted_brackets(tmp_path):
+    # ids and labels holding brackets, spaces and '#': a quoted bracket never nests
+    src = tmp_path / "quoted.gml"
+    src.write_text(
+        """
+graph [
+  node [ id "[ #0" label "[" ]
+  node [ id "] 1" label "]" ]
+  node [ id "[2]" label "a [ b" ]
+  node [ id "#3 ]" label "# ]" ]
+  edge [ source "[ #0" target "] 1" value 2 ]
+  edge [ source "] 1" target "[2]" value 2 ]
+  edge [ source "[2]" target "#3 ]" value 2 ]
+  edge [ source "#3 ]" target "[ #0" value 2 ]
+]
+"""
+    )
+    assert main(["spd", "--input", str(src), "--out-dir", str(tmp_path)]) == 0
+    got = read_matrix_csv((tmp_path / "spd.csv").read_text()).data
+    assert np.array_equal(got, [[0, 2, 4, 2], [2, 0, 2, 4], [4, 2, 0, 2], [2, 4, 2, 0]])
+
+
 def test_spd_accepts_matrix_csv(tmp_path):
     src = tmp_path / "m.csv"
     src.write_text("0,5\ninf,0\n")

@@ -51,7 +51,7 @@ from minplus.factorization import (
 from minplus.regression import RegressionConfig, _newton_batch
 
 from conftest import EXAMPLE_D, random_nonneg_graph_matrix
-from oracles import ref_waypoint_search
+from oracles import ref_jacobi_apply, ref_jacobi_setup, ref_waypoint_search
 
 
 @pytest.fixture(scope="module")
@@ -386,6 +386,60 @@ def test_jacobi_sweep_and_selectors_match_einsum_reference(ties):
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
         else:
             assert np.array_equal(got, want)
+
+
+def argmin_selectors(f):
+    """(P, n, n) argmin selectors of a (P, n, m) stack, a few rows at a time."""
+    return np.concatenate(
+        [(f[:, i:i + 16, None, :] + f[:, None, :, :]).argmin(axis=3) for i in range(0, f.shape[1], 16)], axis=1
+    )
+
+
+@pytest.mark.parametrize("ties", [True, False])
+def test_column_order_jacobi_matches_row_order_reference(ties):
+    # P > 1 stacks, m = 1 included, each setup table and three chained sweeps bitwise
+    rng = np.random.default_rng(61 if ties else 62)
+    for m in [1, 1, 2, 3, 5, 8]:
+        p, n = int(rng.integers(2, 5)), int(rng.integers(m, 20))
+        d = random_distance_matrix(rng, n) * (1.0 if ties else 0.1 * np.pi)
+        if ties:
+            f = rng.integers(0, 3, size=(p, n, m)).astype(float)
+        else:
+            f = rng.normal(scale=3.0, size=(p, n, m))
+        selectors = _sym_product(f)[1]
+        assert np.array_equal(selectors, argmin_selectors(f))
+        got, want = _jacobi_setup(d, selectors, m), ref_jacobi_setup(d, argmin_selectors(f), m)
+        for a, b in zip(got[2:], want[2:]):
+            assert a.tobytes() == b.tobytes()
+        fp_got = fp_want = f + rng.normal(size=f.shape)
+        for _ in range(3):
+            fp_got, fp_want = _jacobi_apply(got, fp_got), ref_jacobi_apply(want, fp_want)
+            assert fp_got.tobytes() == fp_want.tobytes()
+
+
+def test_jacobi_map_with_non_symmetric_d_matches_row_order_reference():
+    rng = np.random.default_rng(63)
+    for m in [1, 2, 4]:
+        n = int(rng.integers(m, 15))
+        d = rng.uniform(0, 9, size=(n, n))  # not symmetric
+        f = rng.integers(0, 3, size=(n, m)).astype(float)
+        fp = f + rng.normal(size=(n, m))
+        want = ref_jacobi_apply(ref_jacobi_setup(d, argmin_selectors(f[None]), m), fp[None])[0]
+        assert jacobi_map(d, f, fp).data.tobytes() == want.tobytes()
+
+
+def test_wide_selectors_match_argmin():
+    n = m = 260  # past 256 columns the selectors take two bytes
+    rng = np.random.default_rng(260)
+    f = rng.integers(0, 400, size=(1, n, m)).astype(float)
+    product, selectors = _sym_product(f)
+    assert selectors.dtype == np.uint16 and (selectors > 255).any()
+    assert np.array_equal(selectors, argmin_selectors(f))
+    assert np.array_equal(product[0], _mp(f[0], f[0].T))
+    d = _mp(f[0], f[0].T) + rng.integers(0, 3, size=(n, n))
+    d = np.minimum(d, d.T)
+    setup, ref = _jacobi_setup(d, selectors, m), ref_jacobi_setup(d, selectors.astype(np.intp), m)
+    assert _jacobi_apply(setup, f).tobytes() == ref_jacobi_apply(ref, f).tobytes()
 
 
 def test_sym_factorize_memory_is_quadratic():

@@ -18,7 +18,7 @@ from minplus import (
     mp_power,
     shortest_path_matrix,
 )
-from minplus.graphs import _tokenize_gml
+from minplus.graphs import _tokenize_gml, _unquote
 
 from conftest import random_nonneg_graph_matrix
 from oracles import (
@@ -136,6 +136,10 @@ def _tokens_or_error(tokenize, text):
         return f"ParseError: {exc}"
 
 
+def _unquoted_tokens(text):
+    return [_unquote(t) for t in _tokenize_gml(text)]
+
+
 def test_gml_tokens_match_scanner_reference():
     # \x1c and \x85 are str.isspace() characters outside ASCII's usual six,
     # \u200b is a zero-width character that is not whitespace
@@ -144,10 +148,35 @@ def test_gml_tokens_match_scanner_reference():
     texts = ['"', 'a"b', 'key "open', 'x [ "a ] b" ]', '""', 'a""b"c d"', "\x1ca\x85b\u3000[c]"]
     texts += ["".join(rng.choice(alphabet, size=rng.integers(0, 24))) for _ in range(3000)]
     for text in texts:
-        assert _tokens_or_error(_tokenize_gml, text) == _tokens_or_error(ref_tokenize_gml, text), repr(text)
-    assert _tokenize_gml('a"b "c d"') == ['a"b', "c d"]
+        assert _tokens_or_error(_unquoted_tokens, text) == _tokens_or_error(ref_tokenize_gml, text), repr(text)
+    assert _tokenize_gml('a"b "c d"') == ['a"b', '"c d"']  # a quoted string keeps its quotes
     with pytest.raises(ParseError, match="unterminated string literal"):
         _tokenize_gml('graph [ label "x ]')
+
+
+# quoted ids holding brackets, spaces and '#', none of which nest or comment
+QUOTED_LABELS = ("[", "]", "a b", "#c", "[x] #y", "][", "z")
+
+
+def render_gml(g, label=lambda name: name):
+    """GML text of g with every id quoted and a quoted label per node."""
+    nodes = "".join(f'  node [ id "{name}" label "{label(name)}" ]\n' for name in g.node_labels)
+    edges = "".join(
+        f'  edge [ source "{g.node_labels[u]}" target "{g.node_labels[v]}" value {w!r} ]\n' for u, v, w in g.edges
+    )
+    return f"graph [\n  directed {int(g.directed)}\n{nodes}{edges}]\n"
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_gml_quoted_brackets_spaces_and_hashes_round_trip(directed):
+    g = Graph(QUOTED_LABELS, ((0, 1, 2.0), (1, 2, 1.5), (3, 4, 4.0), (4, 5, 1.0), (0, 5, 3.0), (2, 6, 0.5)), directed)
+    for label in (lambda name: name, lambda name: "[", lambda name: "]", lambda name: "[ ] #"):
+        assert load_gml_subset(render_gml(g, label)) == g
+    assert load_gml_subset('graph [ node [ id 1 label "[" ] node [ id 2 ] edge [ source 1 target 2 ] ]').edges == (
+        (0, 1, 1.0),
+    )
+    with pytest.raises(ParseError, match="unbalanced brackets"):
+        load_gml_subset('graph [ node [ id 1 label "x" ] ')
 
 
 def test_labels_in_first_appearance_order_with_repeats_and_self_loops():
