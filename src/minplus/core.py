@@ -92,22 +92,40 @@ def _data_of(m) -> np.ndarray:
     return _as_matrix(m).data
 
 
-def _mp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Raw min-plus product on float arrays; shapes must already agree.
+def _outer_sum(out: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
+    """out[..., i, j] = col[..., i] + row[..., j] in a contiguous tile: filled with the
+    column, then the row added in place, which runs faster than one
+    broadcast add whose column operand has stride 0 along the inner axis."""
+    np.copyto(out, col[..., None])
+    np.add(out, row[..., None, :], out=out)
 
-    Loops over the inner index, folding each rank-one sum a[:,k] + b[k,:]
-    into the output with an in-place minimum, so scratch memory is two
-    n x m arrays rather than an n x k x m tensor. min is exact and
-    order-free, so the result equals the broadcast formula bit for bit.
+
+def _fold(out: np.ndarray, cols: np.ndarray, rows: np.ndarray, term: np.ndarray, selectors=None) -> None:
+    """The min-plus product: out[..., i, j] = min(out, min_k cols[k, ..., i] + rows[k, ..., j]).
+
+    Each rank-one sum goes through _outer_sum into the scratch term, the
+    shape of out, and is folded in with np.minimum, so no tensor with a
+    k axis is formed. min is exact and order-free, so out equals the
+    broadcast formula bit for bit. With out all inf and selectors all 0,
+    selectors gets the smallest attaining k: a strictly smaller sum
+    raises it to k, and every earlier selector is below k, so ties keep
+    the earlier k, exactly as argmin does. k takes the selectors' dtype, as
+    a Python int above 255 would overflow uint8 under numpy 2 promotion.
     """
-    if a.shape[1] == 0:
-        # empty k-sum: the min over nothing is the additive identity
-        return np.full((a.shape[0], b.shape[1]), INF)
-    out = a[:, 0, None] + b[0, None, :]
-    term = np.empty_like(out)
-    for k in range(1, a.shape[1]):
-        np.add(a[:, k, None], b[k, None, :], out=term)
+    better = None if selectors is None else np.empty(out.shape, dtype=bool)
+    for k in range(len(cols)):
+        _outer_sum(term, cols[k], rows[k])
+        if better is not None and k:
+            np.less(term, out, out=better)
+            np.maximum(selectors, better.view(np.uint8) * selectors.dtype.type(k), out=selectors)
         np.minimum(out, term, out=out)
+
+
+def _mp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Raw min-plus product of float arrays whose shapes agree, in two n x m arrays;
+    an empty k-sum is all inf, the additive identity."""
+    out = np.full((a.shape[0], b.shape[1]), INF)
+    _fold(out, a.T, b, np.empty_like(out))
     return out
 
 
@@ -181,8 +199,8 @@ def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
             rows = d[top:top + CLOSURE_ROWS, left:]
             h, w = rows.shape
             tile = sums[: (k1 - k0) * h * w].reshape(k1 - k0, h, w)
-            np.copyto(tile, col[:, top:top + h, None])  # faster than one broadcast add
-            np.add(tile, row[:, None, left:], out=tile)
+            # all B sums, then one reduce: a _fold over the pivots ran 1.4-1.6x slower at n = 400
+            _outer_sum(tile, col[:, top:top + h], row[:, left:])
             low = np.minimum.reduce(tile, axis=0, out=least[: h * w].reshape(h, w))
             np.minimum(rows, low, out=rows)
     if symmetric:

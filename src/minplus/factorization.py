@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import TropicalMatrix, _as_matrix, _data_of, _mp
+from .core import INF, TropicalMatrix, _as_matrix, _data_of, _fold, _mp, _outer_sum
 from .core import frobenius_distance, is_idempotent
 from .errors import DomainError, ShapeError
 from .regression import RegressionConfig, _chebyshev_shift, _newton_batch
@@ -167,14 +167,6 @@ def actual_waypoint(D: TropicalMatrix, W) -> FactorPair:
     return _waypoint_pair(*_waypoint_product(d, waypoints), 0)
 
 
-def _outer_sum(out: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
-    """out[..., i, j] = col[..., i] + row[..., j] in a contiguous tile: filled with the
-    column, then the row added in place, which runs faster than one
-    broadcast add whose column operand has stride 0 along the inner axis."""
-    np.copyto(out, col[..., None])
-    np.add(out, row[..., None, :], out=out)
-
-
 def _tile_sums(d: np.ndarray, buf: np.ndarray, fill):
     """Running totals of a symmetric n x n sum of squares, one per row tile.
 
@@ -194,13 +186,10 @@ def _tile_sums(d: np.ndarray, buf: np.ndarray, fill):
         yield total
 
 
-def _residual_fill(d: np.ndarray, waypoints: tuple[int, ...], scratch: np.ndarray, tile, rows, top) -> None:
-    """The tile of D(:,W) (x) D(:,W)^T - D, one waypoint row at a time."""
-    h, part = len(rows), scratch[: tile.size].reshape(tile.shape)
-    _outer_sum(tile, d[waypoints[0], top:top + h], d[waypoints[0], top:])
-    for w in waypoints[1:]:
-        _outer_sum(part, d[w, top:top + h], d[w, top:])
-        np.minimum(tile, part, out=tile)
+def _residual_fill(wrows: np.ndarray, scratch: np.ndarray, tile, rows, top) -> None:
+    """The tile of D(:,W) (x) D(:,W)^T - D, folded over the waypoint rows wrows = D(W,:)."""
+    tile.fill(INF)
+    _fold(tile, wrows[:, top:top + len(rows)], wrows[:, top:], scratch[: tile.size].reshape(tile.shape))
     np.subtract(tile, rows, out=tile)
 
 
@@ -248,8 +237,8 @@ def actual_waypoint_search(
     product = np.empty(min(TILE_ROWS, n) * n)
     term = np.empty_like(product)
     for c in sorted(range(len(keys)), key=keys.__getitem__):
-        w = tuple(candidates[c].tolist())
-        fills = (partial(_bound_fill, d[candidates[c]].min(axis=0)), partial(_residual_fill, d, w, term))
+        w, wrows = tuple(candidates[c].tolist()), d[candidates[c]]
+        fills = (partial(_bound_fill, wrows.min(axis=0)), partial(_residual_fill, wrows, term))
         if any(s > bound for fill in fills for s in _tile_sums(d, product, fill)):
             continue
         left, res = _waypoint_product(d, w)
@@ -261,26 +250,18 @@ def actual_waypoint_search(
 
 def _sym_product(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F (x) F^T and its selectors K for each start of a (P, n, m) stack,
-    in one pass over the m columns.
+    in one _fold over the m columns.
 
-    K[p,i,j] is the smallest column attaining min_k(f_pik + f_pjk). The
-    product folds with np.minimum; a column that is strictly smaller
-    raises the selector to k, and every earlier selector is below k, so
-    ties keep the earlier column, exactly as argmin does. K is symmetric
-    and of dtype np.min_scalar_type(m - 1), one byte up to m = 256. Scratch
-    memory is O(P*n^2); the P x n x n x m pair tensor is never formed.
+    K[p,i,j] is the smallest column attaining min_k(f_pik + f_pjk), as
+    argmin gives it. K is symmetric and of dtype np.min_scalar_type(m - 1),
+    one byte up to m = 256. Scratch memory is O(P*n^2); the P x n x n x m
+    pair tensor is never formed.
     """
-    m = f.shape[2]
+    p, n, m = f.shape
     cols = np.ascontiguousarray(np.moveaxis(f, 2, 0))  # (m, P, n): column k of each start
-    product = cols[0][:, :, None] + cols[0][:, None, :]
+    product = np.full((p, n, n), INF)
     selectors = np.zeros(product.shape, dtype=np.min_scalar_type(m - 1))
-    column = np.empty_like(product)
-    better = np.empty(product.shape, dtype=bool)
-    for k in range(1, m):
-        _outer_sum(column, cols[k], cols[k])
-        np.less(column, product, out=better)
-        np.minimum(product, column, out=product)
-        np.maximum(selectors, better.view(np.uint8) * selectors.dtype.type(k), out=selectors)
+    _fold(product, cols, cols, np.empty_like(product), selectors)
     return product, selectors
 
 

@@ -134,19 +134,19 @@ def _parse_gml_block(tokens: list[str], pos: int) -> tuple[list[tuple[str, objec
 
 
 def _scalar(items: list[tuple[str, object]], key: str) -> str | None:
-    for k, v in items:
-        if k == key and isinstance(v, str):
-            return v
-    return None
+    values = [v for k, v in items if k == key]
+    if any(isinstance(v, list) for v in values):
+        raise ParseError(f"{key!r} must be a scalar, not a block")
+    return values[0] if values else None
 
 
 def load_gml_subset(text: str) -> Graph:
     """Parse minimal GML: graph [ node [ id N ] edge [ source N target N value W ] ].
 
-    Node labels are the ids, in block order. Attributes other than
-    id/source/target/value (label and nested blocks such as graphics
-    included) are skipped. `directed 1` switches to a directed graph;
-    edge weights default to 1.0.
+    Node labels are the ids, in block order. id, source, target and value
+    must be scalars; other attributes (label and nested blocks such as
+    graphics included) are skipped. `directed 1` switches to a directed
+    graph; edge weights default to 1.0.
     """
     tokens = _tokenize_gml(text)
     pos = 0

@@ -1,7 +1,20 @@
 """Shared fixtures: the 6-node worked example and its derived matrices."""
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# property tests draw the same examples on every run and keep no example database
+settings.register_profile("minplus", derandomize=True, deadline=None, database=None, max_examples=100)
+settings.load_profile("minplus")
+# while it collects tests, hypothesis still caches the constants it reads from
+# the package's source in its home directory, ./.hypothesis by default: keep
+# that in a temporary directory, removed when the interpreter exits
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="minplus-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 INF = np.inf
 

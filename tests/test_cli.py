@@ -523,6 +523,9 @@ def test_parse_errors_exit_3(tmp_path):
     badgml = tmp_path / "bad.gml"
     badgml.write_text("graph [ node [ id 1 ]")
     assert main(["spd", "--input", str(badgml), "--out-dir", str(tmp_path)]) == 3
+    badgml.write_text("graph [ node [ id 1 ] node [ id 2 ] edge [ source 1 target 2 value [ x 5 ] ] ]")
+    assert main(["spd", "--input", str(badgml), "--out-dir", str(tmp_path)]) == 3
+    assert not (tmp_path / "spd.csv").exists()
 
 
 def test_numerical_errors_exit_4(tmp_path):

@@ -127,6 +127,17 @@ def test_gml_errors():
         load_gml_subset("graph [ node [ id 1 ] node [ id 1 ] ]")
     with pytest.raises(ParseError):
         load_gml_subset("node [ id 1 ]")  # no graph block
+    # a block where id, source, target or value belongs is an error, not
+    # skipped: a skipped value would load the edge with the default weight 1.0
+    for node, edge in [
+        ("id [ x 1 ]", "source 1 target 2"),
+        ("id 1", "source [ x 1 ] target 2"),
+        ("id 1", "source 1 target [ x 2 ]"),
+        ("id 1", "source 1 target 2 value [ x 5 ]"),
+        ("id 1", "source 1 target 2 value 3 value [ x 5 ]"),
+    ]:
+        with pytest.raises(ParseError, match="must be a scalar, not a block"):
+            load_gml_subset(f"graph [ node [ {node} ] node [ id 2 ] edge [ {edge} ] ]")
 
 
 def _tokens_or_error(tokenize, text):
