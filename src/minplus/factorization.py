@@ -23,7 +23,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -135,13 +135,6 @@ def _check_symmetric_distance(D: TropicalMatrix) -> np.ndarray:
     return d
 
 
-def _waypoint_product(d: np.ndarray, waypoints: tuple[int, ...]) -> tuple[np.ndarray, float]:
-    left = d[:, list(waypoints)]
-    product = _mp(left, left.T)
-    residual = float(np.sqrt(np.sum((d - product) ** 2)))
-    return left, residual
-
-
 def _waypoint_pair(left: np.ndarray, residual: float, evaluated: int) -> FactorPair:
     left = TropicalMatrix._wrap(left)
     return FactorPair(left, left.transpose(), residual, evaluated, (residual,))
@@ -155,42 +148,48 @@ def actual_waypoint(D: TropicalMatrix, W) -> FactorPair:
     entrywise and is exact on rows and columns indexed by W.
     """
     d = _check_symmetric_distance(D)
-    waypoints = tuple(int(w) for w in W)
-    n = d.shape[0]
-    if len(waypoints) == 0:
-        raise ValueError("waypoint set must not be empty")
-    if len(set(waypoints)) != len(waypoints):
-        raise ValueError("waypoint indices must be distinct")
+    W, n = list(W), d.shape[0]
+    waypoints = [int(w) for w in W if not isinstance(w, (bool, np.bool_)) and float(w).is_integer()]
+    if not W or len(set(waypoints)) != len(W):
+        raise ValueError("waypoints must be one or more distinct integer indices, not bools or fractions")
     for w in waypoints:
         if not (0 <= w < n):
             raise IndexError(f"waypoint index {w} outside 0..{n - 1}")
-    return _waypoint_pair(*_waypoint_product(d, waypoints), 0)
+    left = d[:, waypoints]
+    return _waypoint_pair(left, float(np.sqrt(np.sum((d - _mp(left, left.T)) ** 2))), 0)
 
 
 def _tile_sums(d: np.ndarray, buf: np.ndarray, fill):
     """Running totals of a symmetric n x n sum of squares, one per row tile.
 
-    fill(tile, rows, top) writes the terms of rows top.. of D, columns top..
-    (rows is that view of D), into the flat scratch buf. A tile counts its
-    diagonal block once and the columns right of it twice, as twice its
-    dot with itself less the block's squares, so no term is negative and
-    every total is a lower bound of the next. Row w of D stands for
-    column w."""
+    fill(tile, rows, top) writes the terms of rows top.. of D, columns top.. (rows is that
+    view of D), into the flat scratch buf. A tile adds its diagonal block once and the
+    columns right of it twice, as 2 * (its dot with itself - half the block's squares): no
+    total falls, and none overflows unless the sum does. Row w of D stands for column w."""
     total = 0.0
     for top in range(0, d.shape[0], TILE_ROWS):
         rows = d[top:top + TILE_ROWS, top:]
         tile = buf[: rows.size].reshape(rows.shape)
         fill(tile, rows, top)
         block, flat = tile[:, : len(rows)], tile.ravel()
-        total += 2.0 * float(flat @ flat) - float((block * block).sum())
+        total += 2.0 * (float(flat @ flat) - 0.5 * float((block * block).sum()))
         yield total
 
 
-def _residual_fill(wrows: np.ndarray, scratch: np.ndarray, tile, rows, top) -> None:
-    """The tile of D(:,W) (x) D(:,W)^T - D, folded over the waypoint rows wrows = D(W,:)."""
+def _residual_fill(wrows: np.ndarray, scratch: np.ndarray, kept: np.ndarray, tile, rows, top) -> None:
+    """The tile of D(:,W) (x) D(:,W)^T - D, folded over the waypoint rows wrows = D(W,:), also put in kept."""
     tile.fill(INF)
     _fold(tile, wrows[:, top:top + len(rows)], wrows[:, top:], scratch[: tile.size].reshape(tile.shape))
     np.subtract(tile, rows, out=tile)
+    kept[top:top + len(rows), top:] = tile
+
+
+def _kept_residual(kept: np.ndarray) -> float:
+    """||D(:,W) (x) D(:,W)^T - D||_F from a whole exact scan's tiles in kept, squared in place, bit for
+    bit np.sqrt(np.sum((D - product) ** 2)): D and the product are symmetric, and fl(p - d) = -fl(d - p)."""
+    for top in range(TILE_ROWS, len(kept), TILE_ROWS):
+        kept[top:, top - TILE_ROWS:top] = kept[top - TILE_ROWS:top, top:].T
+    return float(np.sqrt(np.sum(np.square(kept, out=kept))))
 
 
 def _bound_fill(near: np.ndarray, tile, rows, top) -> None:
@@ -203,22 +202,32 @@ def _bound_fill(near: np.ndarray, tile, rows, top) -> None:
     np.maximum(tile, 0.0, out=tile)
 
 
+def _row_bounds(near: np.ndarray, sums: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
+    """For each row r of near, sum_i max(0, x_i)^2 / n <= the Voronoi bound (Cauchy-Schwarz), with
+    x_i = n*r_i + sum_j r_j - sums_i = sum_j (r_i + r_j - d_ij). x_i gives up (n + 4) unit roundoffs
+    of its magnitudes (two sums, three steps, r_i + r_j and the subtraction), as its terms can cancel.
+    An overflow gives NaN, which drops nothing, or inf where the residual is inf as well."""
+    n, size = near.shape[1], np.abs(near)
+    slack = (n + 4) * 2.0**-53 * (n * size + size.sum(axis=1, keepdims=True) + magnitudes)
+    x = np.maximum(n * near + near.sum(axis=1, keepdims=True) - sums - slack, 0.0) / math.sqrt(n)
+    return np.einsum("ij,ij->i", x, x)
+
+
 def actual_waypoint_search(
     D: TropicalMatrix, m: int, budget: int = 10000, seed: int = 0
 ) -> tuple[tuple[int, ...], FactorPair]:
     """Best waypoint set of size m: exhaustive when C(n,m) fits the budget,
     otherwise seeded uniform sampling of budget subsets.
 
-    Candidates are visited in stable order of their k-medoids cost
-    sum_i r_i^2, where r_i = min_{w in W} d_iw is row i's distance to its
-    nearest waypoint, so a good set is scored early. Each candidate then
-    meets two row-tile scans, and is dropped at the first tile whose
-    partial sum exceeds the best squared residual so far: first the
-    Voronoi lower bound sum_ij max(0, r_i + r_j - d_ij)^2, then its exact
-    squared residual. A candidate that passes both is scored in full. A
-    winner or a tie is never dropped, and ties break toward the
-    lexicographically smallest W, so the result equals scoring every
-    candidate, in any order.
+    Candidates are visited in stable order of their k-medoids cost sum_i r_i^2,
+    where r_i = min_{w in W} d_iw is row i's distance to its nearest waypoint, so
+    a good set is scored early. A candidate is dropped once a lower bound of its
+    squared residual exceeds the best one so far: the O(n) row bound of
+    _row_bounds, then two row-tile scans, the Voronoi bound
+    sum_ij max(0, r_i + r_j - d_ij)^2 and the exact residual. A candidate that
+    passes all three is scored from the exact scan's tiles, kept in one n x n
+    buffer. A winner or a tie is never dropped, and ties break toward the
+    lexicographically smallest W, so the result equals scoring every candidate.
     """
     d = _check_symmetric_distance(D)
     n = d.shape[0]
@@ -226,26 +235,32 @@ def actual_waypoint_search(
         raise ValueError(f"rank must lie in 1..{n}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    total = math.comb(n, m)
-    if total <= budget:
+    if math.comb(n, m) <= budget:
         candidates = np.array(list(itertools.combinations(range(n), m)))
     else:
         rng = np.random.default_rng([seed])
         candidates = np.array([np.sort(rng.choice(n, size=m, replace=False)) for _ in range(budget)])
-    keys = [float(r @ r) for r in (d[c].min(axis=0) for c in candidates)]
-    best_w, best_left, best_res, bound = None, None, np.inf, np.inf
-    product = np.empty(min(TILE_ROWS, n) * n)
+    sums, magnitudes = d.sum(axis=1), np.abs(d).sum(axis=1)
+    keys, row_bounds = [], []  # one float each per candidate
+    for top in range(0, len(candidates), TILE_ROWS):
+        near = reduce(np.minimum, (d[w] for w in candidates[top:top + TILE_ROWS].T))
+        keys += [float(r @ r) for r in near]
+        row_bounds += _row_bounds(near, sums, magnitudes).tolist()
+    best_w, best_res, bound = None, np.inf, np.inf
+    kept, product = np.empty((n, n)), np.empty(min(TILE_ROWS, n) * n)
     term = np.empty_like(product)
     for c in sorted(range(len(keys)), key=keys.__getitem__):
-        w, wrows = tuple(candidates[c].tolist()), d[candidates[c]]
-        fills = (partial(_bound_fill, wrows.min(axis=0)), partial(_residual_fill, wrows, term))
+        if row_bounds[c] > bound:
+            continue
+        wrows = d[candidates[c]]
+        fills = (partial(_bound_fill, wrows.min(axis=0)), partial(_residual_fill, wrows, term, kept))
         if any(s > bound for fill in fills for s in _tile_sums(d, product, fill)):
             continue
-        left, res = _waypoint_product(d, w)
+        w, res = tuple(candidates[c].tolist()), _kept_residual(kept)
         if res < best_res or (res == best_res and (best_w is None or w < best_w)):
-            best_w, best_left, best_res = w, left, res
+            best_w, best_res = w, res
             bound = best_res * best_res * (1.0 + PRUNE_MARGIN)
-    return best_w, _waypoint_pair(best_left, best_res, len(candidates))
+    return best_w, _waypoint_pair(d[:, list(best_w)], best_res, len(candidates))
 
 
 def _sym_product(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

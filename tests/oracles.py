@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from minplus import INF, DomainError, Graph, NegativeCycleError, ParseError, TropicalMatrix, mp_multiply
-from minplus.factorization import _waypoint_product
+from minplus.core import _mp
 
 ORACLE_MAX_NODES = 7
 ORACLE_MAX_LENGTH = 5
@@ -198,7 +198,8 @@ def ref_waypoint_search(d, m, budget, seed):
         )
     best_w, best_left, best_res = None, None, np.inf
     for w in candidates:
-        left, res = _waypoint_product(d, tuple(w))
+        left = d[:, list(w)]
+        res = float(np.sqrt(np.sum((d - _mp(left, left.T)) ** 2)))
         if res < best_res or (res == best_res and (best_w is None or tuple(w) < best_w)):
             best_w, best_left, best_res = tuple(w), left, res
     return best_w, best_left, best_res

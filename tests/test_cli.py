@@ -565,12 +565,14 @@ def test_nonfinite_cap_or_tol_exits_2(edges_file, tmp_path, value):
         assert list(tmp_path.glob("*.json")) == []
 
 
-def test_nonfinite_result_exits_4_without_json(tmp_path):
+@pytest.mark.parametrize("mode", ["sym", "actual"])
+def test_nonfinite_result_exits_4_without_json(tmp_path, mode):
+    # actual mode overflows in the search's ranking keys and bounds as well
     src = tmp_path / "two.edges"
     src.write_text("a b 1\nc d 2\n")
     out = tmp_path / "run"
     argv = [
-        "factor", "--input", str(src), "--rank", "1", "--cap", "1e300",
+        "factor", "--mode", mode, "--input", str(src), "--rank", "1", "--cap", "1e300",
         "--restarts", "2", "--max-iter", "5", "--out-dir", str(out),
     ]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -38,15 +38,16 @@ from minplus.factorization import (
     INNER_MAX_ITER,
     MU_DECAY,
     MU_FLOOR,
+    PRUNE_MARGIN,
     SYM_TOL,
     TILE_ROWS,
     _bound_fill,
     _jacobi_apply,
     _jacobi_setup,
     _kmeans_start,
+    _row_bounds,
     _sym_product,
     _tile_sums,
-    _waypoint_product,
 )
 from minplus.regression import RegressionConfig, _newton_batch
 
@@ -120,6 +121,11 @@ def test_actual_waypoint_product_dominates_and_pins_waypoint_rows():
 def test_actual_waypoint_input_validation(example_d):
     with pytest.raises(ValueError):
         actual_waypoint(example_d, [1, 1])
+    # int() would truncate a fraction or a bool to a valid index
+    for waypoints in ([], [1.7], [True], [np.True_], [0, np.float64(2.5)], [float("nan")], [INF]):
+        with pytest.raises(ValueError, match="integer"):
+            actual_waypoint(example_d, waypoints)
+    assert actual_waypoint(example_d, [np.float64(2.0), 3.0]).residual == actual_waypoint(example_d, [2, 3]).residual
     with pytest.raises(IndexError):
         actual_waypoint(example_d, [99])
     with pytest.raises(DomainError):
@@ -231,9 +237,25 @@ def test_pruned_search_matches_unpruned_reference():
     assert all(set(kinds) == {True, False} for kinds in branches.values())
 
 
+def search_bounds(d, w):
+    """W's Voronoi tile totals, row bound and residual^2 as np.sum sums it.
+    No tile lowers the running total, and the row bound is at most both the
+    Voronoi bound and the residual^2. NaN (from an overflow) compares false,
+    so a NaN bound or total drops nothing."""
+    near = d[w].min(axis=0)
+    left = d[:, w]
+    residual_sq = float(np.sum((_mp(left, left.T) - d) ** 2))
+    sums = list(_tile_sums(d, np.empty(min(TILE_ROWS, len(d)) * len(d)), partial(_bound_fill, near)))
+    assert not any(earlier > later for earlier, later in zip(sums, sums[1:]))
+    row = _row_bounds(near[None], d.sum(axis=1), np.abs(d).sum(axis=1))[0]
+    assert not row > sums[-1] or np.isinf(residual_sq)
+    assert not row > residual_sq
+    return sums, row, residual_sq
+
+
 def test_voronoi_bound_is_a_lower_bound_of_the_residual():
-    # each term is at most the residual's, so the total stays below the
-    # residual as np.sum sums it, and no tile lowers the running total
+    # each Voronoi term is at most the residual's, and the row bound is at
+    # most the Voronoi bound by Cauchy-Schwarz, for any finite symmetric D
     rng = np.random.default_rng(59)
     for trial in range(60):
         n = int(rng.integers(2, 200))
@@ -241,14 +263,37 @@ def test_voronoi_bound_is_a_lower_bound_of_the_residual():
         d = a + a.T
         w = sorted(rng.choice(n, size=int(rng.integers(1, min(n, 5) + 1)), replace=False).tolist())
         near = d[w].min(axis=0)
-        sums = list(_tile_sums(d, np.empty(min(TILE_ROWS, n) * n), partial(_bound_fill, near)))
         left = d[:, w]
         difference = _mp(left, left.T) - d
         terms = np.empty_like(d)
         _bound_fill(near, terms, d, 0)
         assert (terms**2 <= difference**2).all()
-        assert sums[-1] <= float(np.sum(difference**2))
-        assert all(earlier <= later for earlier, later in zip(sums, sums[1:]))
+        assert search_bounds(d, w)[0][-1] <= float(np.sum(difference**2))
+
+
+@pytest.mark.filterwarnings("ignore:input is not idempotent")
+def test_row_bound_holds_where_cauchy_schwarz_is_tight():
+    # on c*J every row's Voronoi terms are equal, so the row bound is the
+    # residual^2 but for its slack (and the Voronoi total can round above
+    # it, within the search's margin); near 1e300 the residual overflows,
+    # and the bound may be inf or NaN there but never above a finite residual
+    rng = np.random.default_rng(61)
+    for n in (2, 3, 63, 64, 65, 130):
+        tight = np.sqrt(np.finfo(float).max) / n * 0.99  # residual^2 just below overflow
+        for c in (1.0, 7.0, 0.1 * math.pi, 7 * 0.1 * math.pi, 1e-300, tight, 1e300):
+            w = sorted(rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False).tolist())
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums, row, residual_sq = search_bounds(np.full((n, n), c), w)
+            if c < 1e300:
+                assert 0.999 * residual_sq <= row <= residual_sq
+                assert sums[-1] <= residual_sq * (1.0 + PRUNE_MARGIN)
+        a = rng.integers(1, 10, size=(n, n)) * 1e299
+        with np.errstate(over="ignore", invalid="ignore"):
+            search_bounds(a + a.T, [0])
+        # every set ties: a tile total that overflowed while forming twice
+        # a tile's sum would drop the smallest sampled set
+        for budget, m in ((n, 1), (n - 1, 1), (30, 2)):
+            assert_search_matches_reference(np.full((n, n), tight), m, budget, n)
 
 
 def test_actual_waypoint_search_rejects_budget_below_one(example_d):
@@ -270,18 +315,34 @@ def test_actual_waypoint_search_memory_is_quadratic(closure300):
     assert peak < 4 * n * n * 8
 
 
-def test_ranked_search_scores_few_candidates_in_full(monkeypatch):
-    calls = []
+def count_search_stages(monkeypatch):
+    """Rank 4, budget 200 on the 150-node golden graph: the candidates that
+    start the Voronoi scan, and the ones scored from their kept tiles."""
+    scans, scored = [], []
+    bound_fill, kept_residual = factorization._bound_fill, factorization._kept_residual
 
-    def counting(d, waypoints):
-        calls.append(waypoints)
-        return _waypoint_product(d, waypoints)
+    def counting_fill(near, tile, rows, top):
+        scans.append(top == 0)  # a scan's first tile
+        bound_fill(near, tile, rows, top)
+
+    def counting_residual(kept):
+        scored.append(1)
+        return kept_residual(kept)
 
     text = (Path(__file__).parent / "golden" / "graph150_real.edges").read_text()
     closure = shortest_path_matrix(load_edge_list(text))
-    monkeypatch.setattr(factorization, "_waypoint_product", counting)
+    monkeypatch.setattr(factorization, "_bound_fill", counting_fill)
+    monkeypatch.setattr(factorization, "_kept_residual", counting_residual)
     actual_waypoint_search(closure, 4, budget=200)
-    assert 1 <= len(calls) <= 2
+    return sum(scans), len(scored)
+
+
+def test_ranked_search_scores_few_candidates_in_full(monkeypatch):
+    assert 1 <= count_search_stages(monkeypatch)[1] <= 2
+
+
+def test_row_bound_drops_most_candidates_before_any_tile(monkeypatch):
+    assert count_search_stages(monkeypatch)[0] < 100  # of 200; without the row bound, every one starts
 
 
 @pytest.mark.parametrize("as_matrix", [False, True])
