@@ -36,7 +36,7 @@ class TropicalMatrix:
     __slots__ = ("_data", "_idempotent")
 
     def __init__(self, entries) -> None:
-        data = np.array(entries, dtype=float)
+        data = np.asarray(entries, dtype=float) + 0.0  # a copy, in which -0 is 0
         if data.ndim != 2:
             raise ShapeError(f"matrix entries must form a 2-d table, got {data.ndim}-d")
         self._data, self._idempotent = _checked(data), None
@@ -92,29 +92,38 @@ def _data_of(m) -> np.ndarray:
     return _as_matrix(m).data
 
 
-def _outer_sum(out: np.ndarray, col: np.ndarray, row: np.ndarray) -> None:
-    """out[..., i, j] = col[..., i] + row[..., j] in a contiguous tile: filled with the
-    column, then the row added in place, which runs faster than one
-    broadcast add whose column operand has stride 0 along the inner axis."""
-    np.copyto(out, col[..., None])
-    np.add(out, row[..., None, :], out=out)
+def _factors(cols: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[c, 1] (..., h, 2) and [1; r] (..., 2, w), the factors of _outer_sum for c (..., h), r (..., w)."""
+    left, right = np.ones(cols.shape + (2,)), np.ones(rows.shape[:-1] + (2, rows.shape[-1]))
+    left[..., 0], right[..., 1, :] = cols, rows
+    return left, right
+
+
+@np.errstate(invalid="ignore")
+def _outer_sum(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """out[..., i, j] = c_i + r_j as one rank-2 matmul [c, 1] @ [1; r] of _factors(c, r); returns out.
+    Each product is x*1 = x, exact, and BLAS sums into a zeroed accumulator: fl(c_i + r_j), the broadcast
+    add's bits, but for -0 + -0 = +0 (input enters with -0 made 0). OpenBLAS forms 0*inf in discarded edge
+    lanes, setting the invalid flag, so the matmul alone ignores it; entries lie in R or +inf, so no kept
+    lane is invalid."""
+    return np.matmul(left, right, out=out)
 
 
 def _fold(out: np.ndarray, cols: np.ndarray, rows: np.ndarray, term: np.ndarray, selectors=None) -> None:
     """The min-plus product: out[..., i, j] = min(out, min_k cols[k, ..., i] + rows[k, ..., j]).
 
-    Each rank-one sum goes through _outer_sum into the scratch term, the
-    shape of out, and is folded in with np.minimum, so no tensor with a
-    k axis is formed. min is exact and order-free, so out equals the
-    broadcast formula bit for bit. With out all inf and selectors all 0,
-    selectors gets the smallest attaining k: a strictly smaller sum
-    raises it to k, and every earlier selector is below k, so ties keep
-    the earlier k, exactly as argmin does. k takes the selectors' dtype, as
-    a Python int above 255 would overflow uint8 under numpy 2 promotion.
+    Each rank-one sum is one _outer_sum, from one k's factors refilled in place, into the scratch
+    term, the shape of out, folded in with np.minimum: nothing has a k axis. min is exact and
+    order-free, so out equals the broadcast formula bit for bit. With out all inf and selectors all
+    0, selectors gets the smallest attaining k: a strictly smaller sum raises it to k, and every
+    earlier selector is below k, so ties keep the earlier k, as argmin does. k takes the selectors'
+    dtype, as a Python int above 255 would overflow uint8 under numpy 2 promotion.
     """
     better = None if selectors is None else np.empty(out.shape, dtype=bool)
+    left, right = _factors(cols[:1], rows[:1])
     for k in range(len(cols)):
-        _outer_sum(term, cols[k], rows[k])
+        left[..., 0], right[..., 1, :] = cols[k], rows[k]
+        _outer_sum(term, left[0], right[0])
         if better is not None and k:
             np.less(term, out, out=better)
             np.maximum(selectors, better.view(np.uint8) * selectors.dtype.type(k), out=selectors)
@@ -164,11 +173,11 @@ def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
     and row panel R are copied from D and the block's own pivots run on the
     panels alone, so C(:,t) and R(t,:) hold column and row k0+t exactly as
     the one-pivot loop reads them at pivot k0+t. One pass over D then takes
-    D = min(D, min_t C(:,t) + R(t,:)), H = CLOSURE_ROWS rows at a time in
-    B*H*n scratch. min is exact and order-free and every candidate is a sum
-    the one-pivot loop forms, so the result equals that loop bit for bit, a
-    negative diagonal included. (The textbook blocked update reads each
-    block's final panels: other sums, so real weights round differently.)
+    D = min(D, min_t C(:,t) + R(t,:)), H = CLOSURE_ROWS rows at a time, each tile's
+    B sums one _outer_sum of [C, 1] and [1; R] into B*H*n scratch. min is exact and
+    order-free and every candidate is a sum the one-pivot loop forms, so the result
+    equals that loop bit for bit, a negative diagonal included. (The textbook blocked
+    update reads each block's final panels: other sums, so real weights round differently.)
     A symmetric D stays symmetric bit for bit, as fl(a+b) = fl(b+a). Then
     R = C^T, read from the block's columns above it and its rows from
     column k0 on, fresh because B divides H and the block lies in one tile;
@@ -185,7 +194,7 @@ def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
     sums = np.empty(CLOSURE_BLOCK * min(CLOSURE_ROWS, n) * n)
     least = np.empty(min(CLOSURE_ROWS, n) * n)
     for k0 in range(0, n, CLOSURE_BLOCK):
-        k1 = min(k0 + CLOSURE_BLOCK, n)
+        k1, lefts, right = min(k0 + CLOSURE_BLOCK, n), None, None  # free the last block's factors first
         if symmetric:  # rows k0..k1 may be stale left of column k0: read columns there
             col = row = np.concatenate((d[:k0, k0:k1].T, d[k0:k1, k0:]), axis=1)
         else:
@@ -194,15 +203,16 @@ def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
             np.minimum(col[t + 1:], row[t, k0 + t + 1:k1, None] + col[t], out=col[t + 1:])
             if not symmetric:
                 np.minimum(row[t + 1:], col[t, k0 + t + 1:k1, None] + row[t], out=row[t + 1:])
+        lefts, right = _factors(col, row)  # [C, 1] and [1; R]
         for top in range(0, n, CLOSURE_ROWS):
             left = top if symmetric else 0
             rows = d[top:top + CLOSURE_ROWS, left:]
             h, w = rows.shape
             tile = sums[: (k1 - k0) * h * w].reshape(k1 - k0, h, w)
             # all B sums, then one reduce: a _fold over the pivots ran 1.4-1.6x slower at n = 400
-            _outer_sum(tile, col[:, top:top + h], row[:, left:])
+            _outer_sum(tile, lefts[:, top:top + h], right[:, :, left:])
             low = np.minimum.reduce(tile, axis=0, out=least[: h * w].reshape(h, w))
-            np.minimum(rows, low, out=rows)
+            rows[...] = np.minimum(low, rows, out=low)  # out=rows would copy a strided rows twice
     if symmetric:
         for top in range(CLOSURE_ROWS, n, CLOSURE_ROWS):
             d[top:top + CLOSURE_ROWS, :top] = d[:top, top:top + CLOSURE_ROWS].T
@@ -259,7 +269,7 @@ def read_matrix_csv(text: str) -> TropicalMatrix:
         for token in stripped.split(","):
             token = token.strip()
             try:
-                value = float(token)
+                value = float(token) + 0.0  # -0 enters as 0
             except ValueError:
                 raise ParseError(f"line {lineno}: cannot parse entry {token!r}") from None
             if np.isnan(value) or value == -INF:

@@ -27,7 +27,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .core import INF, TropicalMatrix, _as_matrix, _data_of, _fold, _mp, _outer_sum
+from .core import INF, TropicalMatrix, _as_matrix, _data_of, _factors, _fold, _mp, _outer_sum
 from .core import frobenius_distance, is_idempotent
 from .errors import DomainError, ShapeError
 from .regression import RegressionConfig, _chebyshev_shift, _newton_batch
@@ -197,7 +197,7 @@ def _bound_fill(near: np.ndarray, tile, rows, top) -> None:
     row i's nearest waypoint. Product entry (i,j) is min_w fl(d_iw + d_wj)
     >= fl(r_i + r_j), so each term is at most the residual's, for any
     finite symmetric D."""
-    _outer_sum(tile, near[top:top + len(rows)], near[top:])
+    _outer_sum(tile, *_factors(near[top:top + len(rows)], near[top:]))
     np.subtract(tile, rows, out=tile)
     np.maximum(tile, 0.0, out=tile)
 
@@ -273,7 +273,7 @@ def _sym_product(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pair tensor is never formed.
     """
     p, n, m = f.shape
-    cols = np.ascontiguousarray(np.moveaxis(f, 2, 0))  # (m, P, n): column k of each start
+    cols = np.moveaxis(f, 2, 0)  # (m, P, n): column k of each start, copied into its factors by _fold
     product = np.full((p, n, n), INF)
     selectors = np.zeros(product.shape, dtype=np.min_scalar_type(m - 1))
     _fold(product, cols, cols, np.empty_like(product), selectors)

@@ -79,7 +79,7 @@ def load_edge_list(text: str, directed: bool = False) -> Graph:
         v = index_of.setdefault(tokens[1], len(index_of))
         if len(tokens) == 3:
             try:
-                w = float(tokens[2])
+                w = float(tokens[2]) + 0.0  # -0 enters as 0
             except ValueError:
                 raise ParseError(f"line {lineno}: cannot parse weight {tokens[2]!r}") from None
         else:
@@ -187,7 +187,7 @@ def load_gml_subset(text: str) -> Graph:
                 w = 1.0
             else:
                 try:
-                    w = float(raw_value)
+                    w = float(raw_value) + 0.0  # -0 enters as 0
                 except ValueError:
                     raise ParseError(f"cannot parse edge value {raw_value!r}") from None
             raw_edges.append((source, target, w))

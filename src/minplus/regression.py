@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import INF, TropicalMatrix, _data_of, _mp
+from .core import INF, TropicalMatrix, _data_of, _factors, _mp, _outer_sum
 from .errors import DomainError, ShapeError, UnboundedColumnError
 
 TIE_TOL = 1e-9
@@ -235,7 +235,7 @@ def _newton_batch(a: np.ndarray, Y: np.ndarray, X0: np.ndarray, cfg: RegressionC
         act = np.arange(first, min(first + step, p))
         for it in range(cfg.max_iter + 1):
             x = X[act]
-            values = a.T[:, None, :] + x.T[:, :, None]
+            values = _outer_sum(np.empty((d, act.size, n)), *_factors(x.T, a.T))
             row_min = values.min(axis=0)
             res = np.sqrt(np.sum((row_min - Y[act]) ** 2, axis=1))
             for k, r in zip(act.tolist(), res.tolist()):

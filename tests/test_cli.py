@@ -109,6 +109,26 @@ def test_spd_accepts_matrix_csv(tmp_path):
     assert np.array_equal(got, np.array([[0.0, 5.0], [np.inf, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("zero.edges", "a b -0\nb c 1\n"),
+        ("zero.gml", "graph [ node [ id 0 ] node [ id 1 ] node [ id 2 ]\n"
+         "edge [ source 0 target 1 value -0.0 ] edge [ source 1 target 2 value 1 ] ]\n"),
+        ("zero.csv", "0,-0,1\n-0,0,1\n1,1,-0\n"),
+    ],
+    ids=["edges", "gml", "csv"],
+)
+def test_spd_writes_no_negative_zero(name, text, tmp_path):
+    # -0 enters as 0 in every input format, so d(b,b) is 0, not -0; the values are unchanged
+    src = tmp_path / name
+    src.write_text(text)
+    assert main(["spd", "--input", str(src), "--out-dir", str(tmp_path)]) == 0
+    written = (tmp_path / "spd.csv").read_text()
+    assert "-0" not in written
+    assert np.array_equal(read_matrix_csv(written).data, [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+
+
 def test_format_override_beats_suffix(tmp_path):
     src = tmp_path / "graph.txt"  # edge list despite the odd suffix
     src.write_text("x y 3\n")

@@ -31,6 +31,14 @@ def test_matrix_rejects_nan_and_minus_inf():
         TropicalMatrix([[0.0, -np.inf]])
 
 
+def test_matrix_turns_negative_zero_into_zero():
+    # -0 enters as 0, in the constructor as in the CSV reader; the values stay
+    entries = [[-0.0, 1.0], [-0.0, INF]]
+    for m in (TropicalMatrix(entries), TropicalMatrix(np.array(entries)), read_matrix_csv("-0,1\n-0.0,inf\n")):
+        assert not np.signbit(m.data).any()
+        assert np.array_equal(m.data, entries)
+
+
 def test_matrix_requires_two_dims():
     with pytest.raises(ShapeError):
         TropicalMatrix([1.0, 2.0])
@@ -301,6 +309,7 @@ def test_is_idempotent_memory_is_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 16 * n * n * 8  # a few n x n arrays, never n x n x n
+    assert peak < 3.5 * n * n * 8  # the product, its scratch and the comparison; one k's factors at a time
 
 
 def test_tropical_allclose_infinity_handling():
@@ -350,8 +359,8 @@ def test_csv_writer_matches_per_value_format():
         np.empty((0, 0)),
         np.array([[INF]]),
     ]
-    for data in cases:
-        assert write_matrix_csv(TropicalMatrix(data)) == ref_write(data)
+    for data in cases:  # wrapped, not constructed: the constructor would turn -0.0 into 0.0
+        assert write_matrix_csv(TropicalMatrix._wrap(data)) == ref_write(data)
 
 
 def test_csv_reads_inf_token_any_case():

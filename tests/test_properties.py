@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from minplus import INF, TropicalMatrix, actual_waypoint, actual_waypoint_search, kleene_star, mp_multiply
+from minplus.core import _factors, _outer_sum
 from minplus.factorization import TILE_ROWS, _sym_product
 
 from oracles import ref_kleene_star, ref_waypoint_search
@@ -20,6 +21,35 @@ from test_core import brute_force_product
 # bytes compare equal exactly when the values do
 FINITE = st.one_of(st.integers(-3, 3).map(float), st.floats(-100.0, 100.0).map(lambda x: x + 0.0))
 ENTRIES = st.one_of(FINITE, st.just(INF))
+
+
+# entries, and magnitudes whose sums overflow to +inf or -inf
+SUMMANDS = st.one_of(ENTRIES, st.sampled_from([1e308, -1e308, float(np.finfo(float).max)]))
+
+
+@st.composite
+def outer_sum_operands(draw):
+    """Columns (..., H) and rows (..., W) under up to two leading axes, maybe
+    strided, and a window of h columns from top and of the rows from left:
+    the closure slices its factors so, per tile. h and the window's width
+    run from 0; at 1 BLAS takes its one-row and one-column paths."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    step, h = draw(st.integers(1, 2)), draw(st.integers(0, 5))
+    top, left = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    cols = draw(arrays(float, lead + (step * (top + h + draw(st.integers(0, 2))),), elements=SUMMANDS))[..., ::step]
+    rows = draw(arrays(float, lead + (left + draw(st.integers(0, 9)),), elements=SUMMANDS))
+    return cols, rows, top, h, left
+
+
+@given(outer_sum_operands(), st.sampled_from([0.0, INF, np.nan]))
+def test_outer_sum_equals_broadcast_add_byte_for_byte(operands, stale):
+    cols, rows, top, h, left = operands
+    lefts, right = _factors(cols, rows)
+    out = np.full(cols.shape[:-1] + (h, rows.shape[-1] - left), stale)  # what scratch held before
+    with np.errstate(over="ignore"):
+        _outer_sum(out, lefts[..., top:top + h, :], right[..., left:])
+        expected = cols[..., top:top + h, None] + rows[..., None, left:]
+    assert out.tobytes() == expected.tobytes()
 
 
 @st.composite
