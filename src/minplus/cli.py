@@ -335,8 +335,8 @@ def _cmd_assign(args, out_dir: Path):
         left = np.asarray(record["left"], dtype=float)
     except (TypeError, ValueError) as exc:  # ragged rows or non-numeric entries
         raise ShapeError(f"left factor is not a numeric matrix: {exc}") from exc
-    if left.ndim != 2 or left.shape[0] == 0:
-        raise ShapeError("factor file holds no left factor rows")
+    if left.ndim != 2 or 0 in left.shape:
+        raise ShapeError(f"left factor is not a non-empty matrix: shape {left.shape}")
     if np.isnan(left).any():
         raise ParseError("left factor holds a NaN entry")
     labels = record.get("labels") or [str(i + 1) for i in range(left.shape[0])]

@@ -19,6 +19,7 @@ from .errors import DomainError, NegativeCycleError, ParseError, ShapeError
 INF = float("inf")
 
 CSV_FLOAT_FORMAT = ".17g"
+CSV_TILE_ROWS = 64  # rows per tile of write_matrix_csv; its first tile chooses how it formats
 # kleene_star runs B pivots per pass over D, H rows at a time (B*H*n scratch).
 # B divides H, so a symmetric pivot block lies in one tile and reads no stale entry.
 CLOSURE_BLOCK = 8
@@ -286,8 +287,22 @@ def read_matrix_csv(text: str) -> TropicalMatrix:
 
 
 def write_matrix_csv(M: TropicalMatrix) -> str:
-    """Render to the matrix CSV format; inverse of read_matrix_csv."""
-    data = _data_of(M)
-    row_template = ",".join(["%" + CSV_FLOAT_FORMAT] * data.shape[1])  # "%" formats like format()
-    lines = [row_template % tuple(row.tolist()) for row in data]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Render to the matrix CSV format, each entry as format(v, CSV_FLOAT_FORMAT); inverse of read_matrix_csv.
+
+    Distance matrices repeat few values, so if the first CSV_TILE_ROWS rows hold under one distinct entry in
+    four, each distinct int64 bit pattern is formatted once: -0.0 and 0.0 are equal floats that format apart.
+    Otherwise (an SVD approximation, say) one row template formats every entry: a lookup would only add."""
+    def sorted_distinct(keys: np.ndarray) -> np.ndarray:
+        ordered = np.sort(keys, axis=None)
+        return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+
+    keys = _data_of(M).view(np.int64)
+    if 4 * len(sorted_distinct(keys[:CSV_TILE_ROWS])) < keys[:CSV_TILE_ROWS].size:
+        distinct = sorted_distinct(keys)
+        text = [format(v, CSV_FLOAT_FORMAT) for v in distinct.view(float).tolist()]
+        table = np.array([t + end for t in text for end in ",\n"], "S")  # NUL-padded; entry 2k + 1 ends a row
+        cells = (table[2 * np.searchsorted(distinct, rows) + (np.arange(keys.shape[1]) + 1 == keys.shape[1])]
+                 for rows in np.split(keys, range(CSV_TILE_ROWS, len(keys), CSV_TILE_ROWS)))
+        return b"".join(tile.tobytes().translate(None, b"\0") for tile in cells).decode()
+    row_template = ",".join(["%" + CSV_FLOAT_FORMAT] * keys.shape[1]) + "\n"  # "%" formats like format()
+    return "".join([row_template % tuple(row.tolist()) for row in keys.view(float)])

@@ -495,8 +495,9 @@ def test_assign_tie_and_nonpositive_sentinel(tmp_path):
         {"left": [[1.0, 2.0], [2.0]]},
         {"left": [[1.0, float("nan")], [2.0, 1.0]]},
         {"left": [[1.0, 2.0], [2.0, 1.0]], "labels": 7},
+        {"left": [[]]},
     ],
-    ids=["too-few-labels", "ragged-rows", "nan-entry", "labels-not-a-list"],
+    ids=["too-few-labels", "ragged-rows", "nan-entry", "labels-not-a-list", "no-columns"],
 )
 def test_assign_rejects_malformed_factors(record, tmp_path):
     src = tmp_path / "factors.json"
@@ -624,6 +625,19 @@ def test_module_entry_point(edges_file, tmp_path):
         text=True,
     )
     assert proc.returncode == 0
+    assert (tmp_path / "spd.csv").exists()
+
+
+def test_spd_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique, np.isin and np.union1d import numpy.ma on first call, 1.7 MB of resident memory
+    script = (
+        "import sys; from minplus.cli import main; "
+        f"main(['spd', '--input', {str(GENERAL_62)!r}, '--out-dir', {str(tmp_path)!r}]); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
     assert (tmp_path / "spd.csv").exists()
 
 

@@ -1,6 +1,7 @@
 """Tropical matrix type, min-plus products, Kleene star, CSV round trips."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from minplus import (
     frobenius_distance,
     is_idempotent,
     kleene_star,
+    load_edge_list,
     mp_multiply,
     mp_power,
     read_matrix_csv,
+    shortest_path_matrix,
     write_matrix_csv,
 )
 
@@ -345,22 +348,41 @@ def test_csv_round_trip_exact():
         assert np.array_equal(back.data, m.data)
 
 
-def test_csv_writer_matches_per_value_format():
-    def ref_write(data):
-        lines = [",".join(format(v, ".17g") for v in row) for row in data]
-        return "\n".join(lines) + ("\n" if lines else "")
+def ref_write_csv(data):
+    """The matrix CSV format, one format() call per entry."""
+    lines = [",".join(format(v, ".17g") for v in row) for row in data]
+    return "\n".join(lines) + ("\n" if lines else "")
 
+
+def test_csv_writer_matches_per_value_format():
     rng = np.random.default_rng(6)
     random = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, size=(7, 5))
-    cases = [
+    graph30 = load_edge_list((Path(__file__).parent / "golden" / "graph30.edges").read_text())
+    cases = [  # mostly distinct entries, then mostly repeated ones: each path of the writer
         np.array([[-1.5, -0.0, 0.0, INF], [1e-300, 1e300, -1e-300, -1e300], [0.1, 1 / 3, 5e-324, 2.0**53]]),
         random,
         np.empty((3, 0)),
         np.empty((0, 0)),
         np.array([[INF]]),
+        shortest_path_matrix(graph30).data,
+        rng.choice([0.0, -0.0, INF], size=(20, 90)),
+        rng.choice([5e-324, 1e300], size=(9, 8)),
+        rng.choice([1.0, 2.5, INF], size=(150, 7)),  # rows in three tiles
     ]
     for data in cases:  # wrapped, not constructed: the constructor would turn -0.0 into 0.0
-        assert write_matrix_csv(TropicalMatrix._wrap(data)) == ref_write(data)
+        assert write_matrix_csv(TropicalMatrix._wrap(data)) == ref_write_csv(data)
+
+
+def test_csv_writer_memory_is_its_text_and_one_key_array():
+    n = 300
+    closure = kleene_star(TropicalMatrix(random_nonneg_graph_matrix(np.random.default_rng(302), n, density=0.02)))
+    tracemalloc.start()
+    try:
+        text = write_matrix_csv(closure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) + n * n * 8  # no n x n array of strings or indices beside the int64 keys
 
 
 def test_csv_reads_inf_token_any_case():

@@ -6,16 +6,18 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import event, given
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from minplus import INF, TropicalMatrix, actual_waypoint, actual_waypoint_search, kleene_star, mp_multiply
+from minplus import (
+    INF, TropicalMatrix, actual_waypoint, actual_waypoint_search, kleene_star, mp_multiply, write_matrix_csv,
+)
 from minplus.core import _factors, _outer_sum
 from minplus.factorization import TILE_ROWS, _sym_product
 
 from oracles import ref_kleene_star, ref_waypoint_search
-from test_core import brute_force_product
+from test_core import brute_force_product, ref_write_csv
 
 # small integers tie often; reals round; + 0.0 turns -0.0 into 0.0, so that
 # bytes compare equal exactly when the values do
@@ -151,3 +153,27 @@ def test_waypoint_product_dominates_closure_and_is_exact_on_waypoint_rows(inputs
     slack = 0.0 if kind == "integer" else 1e-13 * d.data.max()
     assert (product >= d.data - slack).all()
     assert (np.abs(product[w] - d.data[w]) <= slack).all()
+
+
+# -0.0, subnormals and magnitudes near the float range, and +inf
+WIDE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(INF))
+
+
+@st.composite
+def csv_matrices(draw):
+    """Entries from a pool of at most 4 values, which repeat, so the writer formats each distinct
+    value once, or wide floats, mostly distinct, so it formats each entry; shapes up to 7 x 7."""
+    pool = draw(st.booleans())
+    event("pool of 4" if pool else "wide floats")
+    values = draw(st.permutations([0.0, -0.0, INF, draw(WIDE)]))[: draw(st.integers(1, 4))]  # often both zeros
+    elements = st.sampled_from(values) if pool else WIDE
+    shape = (draw(st.integers(0, 7)), draw(st.integers(0, 7)))
+    return draw(arrays(float, shape, elements=elements, fill=st.nothing()))
+
+
+@given(csv_matrices())
+@example(np.empty((3, 0)))
+@example(np.empty((0, 0)))
+def test_csv_writer_formats_each_entry_as_format_does(data):
+    # wrapped, not constructed: the constructor would turn -0.0 into 0.0
+    assert write_matrix_csv(TropicalMatrix._wrap(data)) == ref_write_csv(data)
