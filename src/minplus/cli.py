@@ -88,15 +88,15 @@ def _infer_format(path: str, explicit: str | None) -> str:
     return "edgelist"
 
 
-def _load_input(args) -> tuple[Graph | None, TropicalMatrix | None]:
-    """Returns (graph, None) for graph formats, (None, matrix) for CSV."""
+def _load_input(args) -> Graph | TropicalMatrix:
+    """The Graph of an edge list or GML file, or the TropicalMatrix of a matrix CSV."""
     fmt = _infer_format(args.input, args.format)
     text = Path(args.input).read_text()
     if fmt == "edgelist":
-        return load_edge_list(text, directed=getattr(args, "directed", False)), None
+        return load_edge_list(text, directed=args.directed)
     if fmt == "gml":
-        return load_gml_subset(text), None
-    return None, read_matrix_csv(text)
+        return load_gml_subset(text)
+    return read_matrix_csv(text)
 
 
 def _apply_cap(matrix: TropicalMatrix, cap: float | None) -> TropicalMatrix:
@@ -116,19 +116,12 @@ def _apply_cap(matrix: TropicalMatrix, cap: float | None) -> TropicalMatrix:
     return TropicalMatrix._wrap(np.where(infinite, cap, matrix.data))
 
 
-def _distance_input(args) -> tuple[TropicalMatrix, tuple[str, ...]]:
-    """Distance matrix for factorization-style commands plus node labels.
-
-    Graph inputs are expanded to their shortest-path matrix; matrix CSV
-    inputs are taken as-is. --cap replaces inf entries afterwards.
-    """
-    graph, matrix = _load_input(args)
-    if graph is not None:
-        matrix = shortest_path_matrix(graph)
-        labels = graph.node_labels
-    else:
-        labels = tuple(str(i + 1) for i in range(matrix.rows))
-    return _apply_cap(matrix, getattr(args, "cap", None)), labels
+def _distances(loaded: Graph | TropicalMatrix, cap: float | None) -> tuple[TropicalMatrix, tuple[str, ...]]:
+    """A graph's shortest-path matrix and its labels, or a matrix CSV as it
+    is with labels 1..n; cap then replaces inf entries."""
+    if isinstance(loaded, Graph):
+        return _apply_cap(shortest_path_matrix(loaded), cap), loaded.node_labels
+    return _apply_cap(loaded, cap), tuple(str(i + 1) for i in range(loaded.rows))
 
 
 def _write(path: Path, text: str) -> str:
@@ -172,8 +165,8 @@ def _read_vector_csv(path: str, what: str) -> np.ndarray:
 
 
 def _cmd_spd(args, out_dir: Path):
-    graph, matrix = _load_input(args)
-    result = shortest_path_matrix(graph) if graph is not None else kleene_star(matrix)
+    loaded = _load_input(args)
+    result = shortest_path_matrix(loaded) if isinstance(loaded, Graph) else kleene_star(loaded)
     out_path = _write(out_dir / args.out, write_matrix_csv(result))
     return [out_path], {"nodes": result.rows}
 
@@ -200,7 +193,7 @@ def _cmd_regress(args, out_dir: Path):
 
 
 def _cmd_factor(args, out_dir: Path):
-    matrix, labels = _distance_input(args)
+    matrix, labels = _distances(_load_input(args), args.cap)
     if args.rank > min(matrix.shape):
         raise UsageError(f"--rank {args.rank} exceeds the input size {min(matrix.shape)}")
     waypoints = None
@@ -232,18 +225,17 @@ def _cmd_factor(args, out_dir: Path):
     return outputs, extras
 
 
-def _baseline_matrix(args) -> np.ndarray:
-    """svd runs on the (capped) distance matrix, nnmf on raw adjacency."""
-    if args.method == "svd":
-        return _distance_input(args)[0].data
-    graph, matrix = _load_input(args)
-    if graph is not None:
-        return graph_to_adjacency(graph)
-    return _apply_cap(matrix, args.cap).data
+def _baseline_matrix(args) -> TropicalMatrix:
+    """nnmf runs on a graph's raw 0/1 adjacency, every other method on its
+    distance matrix; a matrix CSV is taken as it is. --cap replaces inf entries."""
+    loaded = _load_input(args)
+    if args.method == "nnmf" and isinstance(loaded, Graph):
+        return TropicalMatrix._wrap(graph_to_adjacency(loaded))
+    return _distances(loaded, args.cap)[0]
 
 
 def _cmd_baseline(args, out_dir: Path):
-    data = _baseline_matrix(args)
+    data = _baseline_matrix(args).data
     if args.rank > min(data.shape):
         raise UsageError(f"--rank {args.rank} exceeds the input size {min(data.shape)}")
     if args.method == "svd":
@@ -285,11 +277,8 @@ def _pad_rank_init(prev_left: np.ndarray) -> np.ndarray:
 
 
 def _cmd_residual_curve(args, out_dir: Path):
-    if args.method == "nnmf":
-        data = _baseline_matrix(args)
-    else:
-        matrix_for_rank, _ = _distance_input(args)
-        data = matrix_for_rank.data
+    matrix = _baseline_matrix(args)
+    data = matrix.data
     if not np.isfinite(data).all():
         raise DomainError("residual curves need a finite matrix; use --cap for infinite entries")
     max_rank = min(data.shape)
@@ -315,12 +304,12 @@ def _cmd_residual_curve(args, out_dir: Path):
         for m in range(1, max_rank + 1):
             if args.method == "minplus-sym":
                 extra = () if pair is None else (_pad_rank_init(pair.left.data),)
-                pair = sym_factorize(matrix_for_rank, _sym_config(args, m), extra_inits=extra)
+                pair = sym_factorize(matrix, _sym_config(args, m), extra_inits=extra)
             else:
                 extra = () if pair is None else (
                     (_pad_rank_init(pair.left.data), _pad_rank_init(pair.right.data.T).T),
                 )
-                pair = nonsym_factorize(matrix_for_rank, m, _nonsym_config(args), extra_inits=extra)
+                pair = nonsym_factorize(matrix, m, _nonsym_config(args), extra_inits=extra)
             rows.append((m, relative(pair.residual)))
     if not np.isfinite([v for _, v in rows]).all():
         raise DomainError("residual curve is not finite; use a smaller --cap")
@@ -344,13 +333,12 @@ def _cmd_assign(args, out_dir: Path):
         raise ShapeError(f"labels do not name the {left.shape[0]} left factor rows one each")
     assigned = left.argmin(axis=1) + 1  # smallest index wins ties, 1-based
     nonpositive = int(np.sum(left <= 0.0))
-    lines = ["node,assigned," + ",".join(f"recip_{k + 1}" for k in range(left.shape[1]))]
-    for label, row, choice in zip(labels, left, assigned):
-        recips = [1.0 / v if v > 0.0 else INF for v in row]
-        lines.append(
-            f"{label},{choice}," + ",".join(format(v, ".17g") for v in recips)
-        )
-    out_path = _write(out_dir / args.out, "\n".join(lines) + "\n")
+    with np.errstate(over="ignore"):  # 1/v of a subnormal v overflows to inf, the sentinel anyway
+        recips = np.divide(1.0, left, out=np.full(left.shape, INF), where=left > 0.0)
+    rows = write_matrix_csv(TropicalMatrix._wrap(recips)).splitlines(keepends=True)
+    header = "node,assigned," + ",".join(f"recip_{k + 1}" for k in range(left.shape[1])) + "\n"
+    body = "".join(f"{label},{choice},{row}" for label, choice, row in zip(labels, assigned, rows))
+    out_path = _write(out_dir / args.out, header + body)
     return [out_path], {"nonpositive_entries": nonpositive, "sentinel": "inf"}
 
 

@@ -45,16 +45,12 @@ class Graph:
         return len(self.node_labels)
 
 
-def _edge_key(u: int, v: int, directed: bool) -> tuple[int, int]:
-    if directed or u <= v:
-        return (u, v)
-    return (v, u)
-
-
-def _min_weight_edges(keyed: list[tuple[tuple[int, int], float]]) -> tuple[tuple[int, int, float], ...]:
-    """Collapse repeated edge keys to their minimum weight, in first-seen order."""
+def _min_weight_edges(edges: list[tuple[int, int, float]], directed: bool) -> tuple[tuple[int, int, float], ...]:
+    """Collapse repeated edges to their minimum weight, in first-seen order;
+    an undirected edge is keyed by its lower index first."""
     weight: dict[tuple[int, int], float] = {}
-    for key, w in keyed:
+    for u, v, w in edges:
+        key = (u, v) if directed or u <= v else (v, u)
         weight[key] = min(weight.get(key, w), w)
     return tuple((u, v, w) for (u, v), w in weight.items())
 
@@ -67,7 +63,7 @@ def load_edge_list(text: str, directed: bool = False) -> Graph:
     minimum weight (for undirected input, regardless of orientation).
     """
     index_of: dict[str, int] = {}  # labels in first-appearance order
-    keyed: list[tuple[tuple[int, int], float]] = []
+    edges: list[tuple[int, int, float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,8 +84,8 @@ def load_edge_list(text: str, directed: bool = False) -> Graph:
             raise DomainError(f"line {lineno}: weight must be finite, got {tokens[2]!r}")
         if w < 0:
             raise DomainError(f"line {lineno}: negative weight {w}")
-        keyed.append((_edge_key(u, v, directed), w))
-    return Graph(tuple(index_of), _min_weight_edges(keyed), directed)
+        edges.append((u, v, w))
+    return Graph(tuple(index_of), _min_weight_edges(edges, directed), directed)
 
 
 # a bracket, a quoted string (its closing quote missing only at the end of
@@ -109,8 +105,9 @@ def _unquote(token: str) -> str:
     return token[1:-1] if token[0] == '"' else token
 
 
-def _parse_gml_block(tokens: list[str], pos: int) -> tuple[list[tuple[str, object]], int]:
-    """Parse the items between a matched '[' ']' pair starting at pos.
+def _parse_gml_block(tokens: list[str], pos: int, top: bool = False) -> tuple[list[tuple[str, object]], int]:
+    """Parse the items of a block from pos up to its ']', or of the top
+    level (top) up to the end of the tokens.
 
     Items are (key, value) where value is a scalar token or a nested list
     of items for bracketed blocks.
@@ -119,10 +116,12 @@ def _parse_gml_block(tokens: list[str], pos: int) -> tuple[list[tuple[str, objec
     while pos < len(tokens):
         token = tokens[pos]
         if token == "]":
+            if top:
+                raise ParseError("unbalanced brackets: stray ']'")
             return items, pos + 1
         if token == "[":
             raise ParseError("unexpected '['")
-        if pos + 1 >= len(tokens):
+        if pos + 1 >= len(tokens) or tokens[pos + 1] == "]":
             raise ParseError(f"key {_unquote(token)!r} has no value")
         if tokens[pos + 1] == "[":
             inner, pos = _parse_gml_block(tokens, pos + 2)
@@ -130,6 +129,8 @@ def _parse_gml_block(tokens: list[str], pos: int) -> tuple[list[tuple[str, objec
         else:
             items.append((_unquote(token), _unquote(tokens[pos + 1])))
             pos += 2
+    if top:
+        return items, pos
     raise ParseError("unbalanced brackets: block not closed")
 
 
@@ -148,19 +149,8 @@ def load_gml_subset(text: str) -> Graph:
     graphics included) are skipped. `directed 1` switches to a directed
     graph; edge weights default to 1.0.
     """
-    tokens = _tokenize_gml(text)
-    pos = 0
-    graph_items = None
-    while pos < len(tokens):
-        token = tokens[pos]
-        if token == "]":
-            raise ParseError("unbalanced brackets: stray ']'")
-        if pos + 1 < len(tokens) and tokens[pos + 1] == "[":
-            inner, pos = _parse_gml_block(tokens, pos + 2)
-            if _unquote(token) == "graph" and graph_items is None:
-                graph_items = inner
-        else:
-            pos += 2  # top-level scalar attribute such as Creator
+    items, _ = _parse_gml_block(_tokenize_gml(text), 0, top=True)
+    graph_items = next((value for key, value in items if key == "graph" and isinstance(value, list)), None)
     if graph_items is None:
         raise ParseError("no graph block found")
 
@@ -192,18 +182,17 @@ def load_gml_subset(text: str) -> Graph:
                     raise ParseError(f"cannot parse edge value {raw_value!r}") from None
             raw_edges.append((source, target, w))
 
-    keyed: list[tuple[tuple[int, int], float]] = []
+    edges: list[tuple[int, int, float]] = []
     for source, target, w in raw_edges:
-        if source not in index_of:
-            raise ParseError(f"edge references unknown node id {source!r}")
-        if target not in index_of:
-            raise ParseError(f"edge references unknown node id {target!r}")
+        for node_id in (source, target):
+            if node_id not in index_of:
+                raise ParseError(f"edge references unknown node id {node_id!r}")
         if not math.isfinite(w):
             raise DomainError(f"edge ({source}, {target}) weight must be finite")
         if w < 0:
             raise DomainError(f"edge ({source}, {target}) has negative weight {w}")
-        keyed.append((_edge_key(index_of[source], index_of[target], directed), w))
-    return Graph(tuple(index_of), _min_weight_edges(keyed), directed)
+        edges.append((index_of[source], index_of[target], w))
+    return Graph(tuple(index_of), _min_weight_edges(edges, directed), directed)
 
 
 def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -75,6 +75,18 @@ EXAMPLE_F = np.array(
     dtype=float,
 )
 
+# GML that must not load, with the fault each names: a ']' where a value
+# belongs, a key without a value at the top level or in a block, a '['
+# with no key before it and a ']' outside every block
+MALFORMED_GML = [
+    ("graph [ node [ id ] ] ]", "key 'id' has no value"),
+    ("Creator ] graph [ node [ id 1 ] ]", "key 'Creator' has no value"),
+    ("graph [ node [ id 1 ] ] Creator", "key 'Creator' has no value"),
+    ("graph [ node [ id 1 label ] node [ id 2 ] ]", "key 'label' has no value"),
+    ("[ graph [ node [ id 1 ] ] ]", r"unexpected '\['"),
+    ("graph [ node [ id 1 ] ] ]", r"stray '\]'"),
+]
+
 # Small regression instance with a known infinity-norm optimum [0.5, 0.5].
 REGRESS_A = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 REGRESS_Y = np.array([0.0, 1.0, 1.0])

@@ -3,7 +3,8 @@
 oracle_min_path_fixed_length enumerates walks by brute force and refuses
 instances too large to enumerate; truncated_series sums the Kleene series
 through a given power; ref_kleene_star is the full-matrix Floyd-Warshall
-loop that the blocked kleene_star must match bit for bit, and
+loop that the blocked kleene_star must match bit for bit, bellman_ford
+finds negative cycles and distances by another algorithm, and
 ref_waypoint_search is the waypoint search that scores every candidate in
 full, in sample order, which the pruned search must match. The full_table_*
 functions are the 2-norm engine's Newton targets and envelope walk as
@@ -183,6 +184,26 @@ def ref_kleene_star(a: np.ndarray) -> np.ndarray:
     if (np.diag(d) < 0).any():
         raise NegativeCycleError("negative-weight cycle")
     return d
+
+
+def bellman_ford(a: np.ndarray) -> np.ndarray | None:
+    """All-pairs distances of the one-hop matrix a by Bellman-Ford from
+    every source at once, or None when a negative cycle exists.
+
+    Round r relaxes every edge (k, j) from every source s against the
+    distances of round r - 1, so it finds the paths of up to r edges.
+    Without a negative cycle n - 1 rounds settle them all and round n
+    changes nothing; every node is a source, so every cycle is reached.
+    """
+    n = len(a)
+    d = np.full((n, n), INF)
+    np.fill_diagonal(d, 0.0)
+    for _ in range(n):
+        relaxed = np.minimum(d, (d[:, :, None] + a[None, :, :]).min(axis=1))
+        if np.array_equal(relaxed, d):
+            return d
+        d = relaxed
+    return None
 
 
 def ref_waypoint_search(d, m, budget, seed):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: files, reports, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,7 @@ from minplus import read_matrix_csv
 from minplus import cli
 from minplus.cli import main
 
-from conftest import EXAMPLE_EDGES, EXAMPLE_D, EXAMPLE_F
+from conftest import EXAMPLE_EDGES, EXAMPLE_D, EXAMPLE_F, MALFORMED_GML
 
 # bench/gen.py --workload general-factor-62 --seed 2 --index 0: 62 nodes,
 # 140 edges with integer weights 1..9
@@ -488,6 +489,24 @@ def test_assign_tie_and_nonpositive_sentinel(tmp_path):
     assert report["residuals"]["nonpositive_entries"] == 1
 
 
+def test_assign_writes_reciprocals_byte_for_byte(tmp_path):
+    # zeros of both signs and negatives map to inf, as does 1/5e-324, which
+    # overflows; JSON Infinity loads as inf, whose reciprocal is 0; a tie
+    # goes to the first column
+    left = [[0.0, -0.0, 2.0], [-2.0, 5e-324, 0.5], [float("inf"), 3.0, 3.0], [0.1, 7.0, 1e-300]]
+    labels = ["a", "b", "c", "d"]
+    src = tmp_path / "factors.json"
+    src.write_text(json.dumps({"left": left, "labels": labels}))
+    assert "Infinity" in src.read_text() and "-0.0" in src.read_text()
+    assert main(["assign", "--factors", str(src), "--out-dir", str(tmp_path)]) == 0
+    expected = "node,assigned,recip_1,recip_2,recip_3\n" + "".join(
+        f"{label},{row.index(min(row)) + 1},"
+        + ",".join(format(1.0 / v if v > 0 else math.inf, ".17g") for v in row) + "\n"
+        for label, row in zip(labels, left)
+    )
+    assert (tmp_path / "assign.csv").read_text() == expected
+
+
 @pytest.mark.parametrize(
     "record",
     [
@@ -546,6 +565,10 @@ def test_parse_errors_exit_3(tmp_path):
     assert main(["spd", "--input", str(badgml), "--out-dir", str(tmp_path)]) == 3
     badgml.write_text("graph [ node [ id 1 ] node [ id 2 ] edge [ source 1 target 2 value [ x 5 ] ] ]")
     assert main(["spd", "--input", str(badgml), "--out-dir", str(tmp_path)]) == 3
+    badtext = tmp_path / "bad.txt"  # the suffix would say edge list
+    for text, _ in MALFORMED_GML:
+        badtext.write_text(text)
+        assert main(["spd", "--input", str(badtext), "--format", "gml", "--out-dir", str(tmp_path)]) == 3
     assert not (tmp_path / "spd.csv").exists()
 
 

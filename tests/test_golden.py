@@ -21,6 +21,10 @@ others are not rewritten. After a change that is meant to alter these
 outputs, regenerate the affected cases and say why in the change.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,23 +125,43 @@ CASES = {
 }
 
 
-def run_case(name: str, out_dir: Path) -> None:
+def case_argv(name: str, out_dir: Path) -> list[str]:
     argv, _, *graph = CASES[name]
     source = graph[0] if graph else GRAPH
-    assert main([*argv, "--input", str(source), "--out-dir", str(out_dir)]) == 0
+    return [*argv, "--input", str(source), "--out-dir", str(out_dir)]
+
+
+def run_case(name: str, out_dir: Path) -> None:
+    assert main(case_argv(name, out_dir)) == 0
+
+
+def assert_matches_golden(name: str, out_dir: Path) -> None:
+    for filename in CASES[name][1]:
+        expected = (GOLDEN / name / filename).read_bytes()
+        assert (out_dir / filename).read_bytes() == expected, f"{name}/{filename} changed"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_outputs_byte_identical(name, tmp_path):
     run_case(name, tmp_path)
-    for filename in CASES[name][1]:
-        expected = (GOLDEN / name / filename).read_bytes()
-        assert (tmp_path / filename).read_bytes() == expected, f"{name}/{filename} changed"
+    assert_matches_golden(name, tmp_path)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_outputs_do_not_depend_on_blas_threads(threads, tmp_path):
+    # every min-plus outer sum is a BLAS matmul: the data files must not
+    # depend on how many threads OpenBLAS splits it over
+    names = ["spd-real", "factor-actual-real", "factor-sym"]
+    runs = [case_argv(name, tmp_path / name) for name in names]
+    script = "import json, sys; from minplus.cli import main; sys.exit(max(map(main, json.loads(sys.argv[1]))))"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for name in names:
+        assert_matches_golden(name, tmp_path / name)
 
 
 if __name__ == "__main__":
-    import sys
-
     unknown = [case for case in sys.argv[1:] if case not in CASES]
     if unknown:
         sys.exit(f"unknown golden case(s): {', '.join(unknown)}; known: {', '.join(sorted(CASES))}")

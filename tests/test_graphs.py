@@ -20,7 +20,7 @@ from minplus import (
 )
 from minplus.graphs import _tokenize_gml, _unquote
 
-from conftest import random_nonneg_graph_matrix
+from conftest import MALFORMED_GML, random_nonneg_graph_matrix
 from oracles import (
     ScaleRefusalError,
     oracle_min_path_fixed_length,
@@ -138,6 +138,10 @@ def test_gml_errors():
     ]:
         with pytest.raises(ParseError, match="must be a scalar, not a block"):
             load_gml_subset(f"graph [ node [ {node} ] node [ id 2 ] edge [ {edge} ] ]")
+    # a bracket is never a value, and the top level follows the rules of a block
+    for text, message in MALFORMED_GML:
+        with pytest.raises(ParseError, match=message):
+            load_gml_subset(text)
 
 
 def _tokens_or_error(tokenize, text):

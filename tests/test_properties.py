@@ -6,17 +6,19 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import event, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from minplus import (
-    INF, TropicalMatrix, actual_waypoint, actual_waypoint_search, kleene_star, mp_multiply, write_matrix_csv,
+    INF, NegativeCycleError, TropicalMatrix, actual_waypoint, actual_waypoint_search, kleene_star, mp_multiply,
+    write_matrix_csv,
 )
 from minplus.core import _factors, _outer_sum
 from minplus.factorization import TILE_ROWS, _sym_product
 
-from oracles import ref_kleene_star, ref_waypoint_search
+from oracles import bellman_ford, ref_kleene_star, ref_waypoint_search
 from test_core import brute_force_product, ref_write_csv
 
 # small integers tie often; reals round; + 0.0 turns -0.0 into 0.0, so that
@@ -99,6 +101,44 @@ def nonneg_graphs(draw):
 @given(nonneg_graphs())
 def test_kleene_star_equals_full_matrix_reference(a):
     assert kleene_star(TropicalMatrix(a)).data.tobytes() == ref_kleene_star(a).tobytes()
+
+
+@st.composite
+def signed_graphs(draw):
+    """A one-hop matrix on up to 40 nodes, so that pivot blocks end partway
+    and there are several closure tiles, with integer weights of either
+    sign. Directed: weights 0..9 plus p_i - p_j for drawn potentials p,
+    which keeps every cycle's weight, so no cycle is negative. Symmetric:
+    weights 0..9, so the closure takes its upper-triangle path. Then up to
+    two drawn edges (both directions when symmetric) are set below 0,
+    which may close a negative cycle."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, 10, size=(n, n)).astype(float)
+    a[rng.random((n, n)) >= draw(st.integers(0, 10)) / 10] = INF
+    symmetric = draw(st.booleans())
+    if symmetric:
+        a = np.minimum(a, a.T)
+    else:
+        potential = rng.integers(-5, 6, size=n)
+        a += potential[:, None] - potential[None, :]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = rng.integers(0, n, size=2)
+        a[i, j] = -float(rng.integers(1, 10))
+        if symmetric:
+            a[j, i] = a[i, j]
+    return a
+
+
+@given(signed_graphs())
+def test_kleene_star_reports_a_negative_cycle_iff_bellman_ford_finds_one(a):
+    expected = bellman_ford(a)
+    event("negative cycle" if expected is None else "distances")
+    if expected is None:
+        with pytest.raises(NegativeCycleError):
+            kleene_star(TropicalMatrix(a))
+    else:
+        assert np.array_equal(kleene_star(TropicalMatrix(a)).data, expected)
 
 
 @st.composite
