@@ -19,7 +19,9 @@ from .errors import DomainError, NegativeCycleError, ParseError, ShapeError
 INF = float("inf")
 
 CSV_FLOAT_FORMAT = ".17g"
-CSV_TILE_ROWS = 64  # rows per tile of write_matrix_csv; its first tile chooses how it formats
+TILE_ROWS = 64  # rows per tile of each row-tiled pass: write_matrix_csv (its first tile picks the format) and
+# the waypoint scan; one height bounds the scratch of every such pass at TILE_ROWS x n entries
+IDEMPOTENT_TOL = 1e-9  # is_idempotent: finite entries of A (x) A and A agree within this
 # kleene_star runs B pivots per pass over D, H rows at a time (B*H*n scratch).
 # B divides H, so a symmetric pivot block lies in one tile and reads no stale entry.
 CLOSURE_BLOCK = 8
@@ -31,7 +33,8 @@ class TropicalMatrix:
 
     Wraps a read-only float64 array. Use ``.data`` for raw access; all
     semiring operations live in module-level functions. ``_idempotent``
-    caches whether A (x) A = A is known (True/False) or unchecked (None).
+    holds is_idempotent's verdict (True/False), or None before it is asked;
+    only this module reads or writes it.
     """
 
     __slots__ = ("_data", "_idempotent")
@@ -224,21 +227,24 @@ def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
     return closure
 
 
-def _entries_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    # inf must match inf exactly; finite entries compare within tol
+def _entries_close(a: np.ndarray, b: np.ndarray) -> bool:
+    # inf must match inf exactly; finite entries compare within IDEMPOTENT_TOL
     a_inf = np.isinf(a)
     if not np.array_equal(a_inf, np.isinf(b)):
         return False
     finite = ~a_inf
-    return bool(np.all(np.abs(a[finite] - b[finite]) <= tol))
+    return bool(np.all(np.abs(a[finite] - b[finite]) <= IDEMPOTENT_TOL))
 
 
-def is_idempotent(A: TropicalMatrix, tol: float = 1e-9) -> bool:
-    """True iff A (x) A equals A entrywise within tol (inf matches only inf)."""
-    a = _data_of(A)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"idempotency needs a square matrix, got {a.shape}")
-    return _entries_close(_mp(a, a), a, tol)
+def is_idempotent(A: TropicalMatrix) -> bool:
+    """True iff A (x) A equals A entrywise within IDEMPOTENT_TOL (inf matches only inf). A TropicalMatrix
+    keeps the verdict, so its product runs at most once, and never for a closure, marked by kleene_star."""
+    A = _as_matrix(A)
+    if A.rows != A.cols:
+        raise ShapeError(f"idempotency needs a square matrix, got {A.shape}")
+    if A._idempotent is None:
+        A._idempotent = _entries_close(_mp(A.data, A.data), A.data)
+    return A._idempotent
 
 
 def frobenius_distance(A: TropicalMatrix, B: TropicalMatrix) -> float:
@@ -289,7 +295,7 @@ def read_matrix_csv(text: str) -> TropicalMatrix:
 def write_matrix_csv(M: TropicalMatrix) -> str:
     """Render to the matrix CSV format, each entry as format(v, CSV_FLOAT_FORMAT); inverse of read_matrix_csv.
 
-    Distance matrices repeat few values, so if the first CSV_TILE_ROWS rows hold under one distinct entry in
+    Distance matrices repeat few values, so if the first TILE_ROWS rows hold under one distinct entry in
     four, each distinct int64 bit pattern is formatted once: -0.0 and 0.0 are equal floats that format apart.
     Otherwise (an SVD approximation, say) one row template formats every entry: a lookup would only add."""
     def sorted_distinct(keys: np.ndarray) -> np.ndarray:
@@ -297,12 +303,12 @@ def write_matrix_csv(M: TropicalMatrix) -> str:
         return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
 
     keys = _data_of(M).view(np.int64)
-    if 4 * len(sorted_distinct(keys[:CSV_TILE_ROWS])) < keys[:CSV_TILE_ROWS].size:
+    if 4 * len(sorted_distinct(keys[:TILE_ROWS])) < keys[:TILE_ROWS].size:
         distinct = sorted_distinct(keys)
         text = [format(v, CSV_FLOAT_FORMAT) for v in distinct.view(float).tolist()]
         table = np.array([t + end for t in text for end in ",\n"], "S")  # NUL-padded; entry 2k + 1 ends a row
         cells = (table[2 * np.searchsorted(distinct, rows) + (np.arange(keys.shape[1]) + 1 == keys.shape[1])]
-                 for rows in np.split(keys, range(CSV_TILE_ROWS, len(keys), CSV_TILE_ROWS)))
+                 for rows in np.split(keys, range(TILE_ROWS, len(keys), TILE_ROWS)))
         return b"".join(tile.tobytes().translate(None, b"\0") for tile in cells).decode()
     row_template = ",".join(["%" + CSV_FLOAT_FORMAT] * keys.shape[1]) + "\n"  # "%" formats like format()
     return "".join([row_template % tuple(row.tolist()) for row in keys.view(float)])

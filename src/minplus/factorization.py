@@ -27,7 +27,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .core import INF, TropicalMatrix, _as_matrix, _data_of, _factors, _fold, _mp, _outer_sum
+from .core import INF, TILE_ROWS, TropicalMatrix, _as_matrix, _data_of, _factors, _fold, _mp, _outer_sum
 from .core import frobenius_distance, is_idempotent
 from .errors import DomainError, ShapeError
 from .regression import RegressionConfig, _chebyshev_shift, _newton_batch
@@ -47,7 +47,6 @@ SYM_BLOCK_ELEMENTS = 2**14
 # drop a candidate whose partial sum of squares exceeds best^2 by this much, far
 # above the rounding gap between tile sums and np.sum: it could neither win nor tie
 PRUNE_MARGIN = 1e-9
-TILE_ROWS = 64  # rows per scratch tile of the waypoint scan
 
 
 @dataclass
@@ -114,7 +113,7 @@ class NonsymFactorConfig:
 
 
 def _check_symmetric_distance(D: TropicalMatrix) -> np.ndarray:
-    """D's array, once square, symmetric and finite; warns (once per matrix) unless D (x) D = D."""
+    """D's array, once square, symmetric and finite; warns unless D (x) D = D."""
     D = _as_matrix(D)
     d = D.data
     if d.shape[0] != d.shape[1]:
@@ -123,15 +122,9 @@ def _check_symmetric_distance(D: TropicalMatrix) -> np.ndarray:
         raise ShapeError("matrix is not symmetric")
     if not np.isfinite(d).all():
         raise DomainError(f"matrix has non-finite entries; {INFEASIBLE_HINT}")
-    if D._idempotent is None:  # closures are marked idempotent by kleene_star
-        D._idempotent = is_idempotent(D, tol=1e-9)
-    if not D._idempotent:
-        warnings.warn(
-            "input is not idempotent; waypoint factorizations are meant for "
-            "shortest-path distance matrices",
-            UserWarning,
-            stacklevel=3,
-        )
+    if not is_idempotent(D):
+        warnings.warn("input is not idempotent; waypoint factorizations are meant for "
+                      "shortest-path distance matrices", UserWarning, stacklevel=3)
     return d
 
 
@@ -304,11 +297,9 @@ def _jacobi_setup(dt: np.ndarray, selectors: np.ndarray, m: int):
     count = np.bincount(gather, minlength=p * n * m).reshape(p, n, m)
     weights = np.broadcast_to(dt, (p, n, n)).ravel()  # a view of dt when p = 1 and dt is contiguous
     d_sums = np.bincount(gather, weights=weights, minlength=p * n * m).reshape(p, n, m)
-    static_num = d_sums - diag_hot * d_diag
-    denominator = 2.0 * diag_hot + (count - diag_hot)
-    positive = denominator > 0
-    anchored_num = d_diag * diag_hot + static_num
-    return bins, gather, diag_hot, anchored_num, positive, np.where(positive, denominator, 1.0)
+    anchored_num = d_diag * diag_hot + (d_sums - diag_hot * d_diag)
+    # counts are small integers, so sums are exact; K[p,i,i] = k puts (i,i) in bin (p,i,k): count >= diag_hot
+    return bins, gather, diag_hot, anchored_num, count > 0, np.maximum(count + diag_hot, 1.0)
 
 
 def _jacobi_apply(setup, fp: np.ndarray) -> np.ndarray:
@@ -344,18 +335,14 @@ def jacobi_map(D: TropicalMatrix, F: TropicalMatrix, Fp: TropicalMatrix) -> Trop
     return TropicalMatrix._wrap(_jacobi_apply(setup, fp[None])[0])
 
 
-def _checked_inits(inits, *shapes: tuple[int, int]) -> list[tuple[np.ndarray, ...]]:
-    """Extra starts as C-ordered float copies, each checked to hold arrays of
-    the given shapes with finite entries."""
-    checked = []
-    for init in inits:
-        arrays = tuple(np.array(x, dtype=float, order="C") for x in init)
-        if tuple(x.shape for x in arrays) != shapes:
-            raise ShapeError(f"extra init shapes {[x.shape for x in arrays]} do not match {list(shapes)}")
-        if not all(np.isfinite(x).all() for x in arrays):
-            raise DomainError("extra inits must be finite")
-        checked.append(arrays)
-    return checked
+def _checked_init(x, shape: tuple[int, int]) -> np.ndarray:
+    """An extra start's array as a C-ordered float copy, checked to have the given shape and finite entries."""
+    x = np.array(x, dtype=float, order="C")
+    if x.shape != shape:
+        raise ShapeError(f"extra init shape {x.shape} does not match {shape}")
+    if not np.isfinite(x).all():
+        raise DomainError("extra inits must be finite")
+    return x
 
 
 def _best_of_starts(outcomes, target: float = -np.inf) -> FactorPair:
@@ -451,7 +438,7 @@ def sym_factorize(
     n = d.shape[0]
     if cfg.rank > n:
         raise ValueError(f"rank {cfg.rank} exceeds matrix size {n}")
-    extras = (f0 for (f0,) in _checked_inits(((f0,) for f0 in extra_inits), (n, cfg.rank)))
+    extras = [_checked_init(f0, (n, cfg.rank)) for f0 in extra_inits]
     restarts = (
         d[:, np.random.default_rng([cfg.seed, r]).choice(n, size=cfg.rank, replace=False)]
         for r in range(cfg.restarts)
@@ -580,6 +567,9 @@ def nonsym_factorize(
     n, d_cols = m_mat.shape
     if not (1 <= m <= min(n, d_cols)):
         raise ValueError(f"rank must lie in 1..{min(n, d_cols)}")
-    extras = _checked_inits(extra_inits, (n, m), (m, d_cols))
+    extras = list(extra_inits)
+    if any(len(init) != 2 for init in extras):
+        raise ShapeError("each extra init must be an (A0, B0) pair")
+    extras = [(_checked_init(a0, (n, m)), _checked_init(b0, (m, d_cols))) for a0, b0 in extras]
     restarts = (_kmeans_start(m_mat, m, np.random.default_rng([cfg.seed, r])) for r in range(cfg.restarts))
     return _best_of_starts(_nonsym_run(m_mat, a, b, cfg) for a, b in itertools.chain(restarts, extras))

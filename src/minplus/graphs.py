@@ -196,12 +196,12 @@ def load_gml_subset(text: str) -> Graph:
 
 
 def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tails, heads and weights of the stored edges in order; on an
-    undirected graph each edge is followed by its mirror."""
+    """Tails, heads and weights of the stored edges in order, -0 weights as 0;
+    on an undirected graph each edge is followed by its mirror."""
     edges = np.fromiter(itertools.chain.from_iterable(g.edges), float, 3 * len(g.edges)).reshape(-1, 3)
     if not g.directed:
         edges = np.stack((edges, edges[:, [1, 0, 2]]), axis=1).reshape(-1, 3)
-    return edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp), edges[:, 2]
+    return edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp), edges[:, 2] + 0.0
 
 
 def graph_to_tropical(g: Graph) -> TropicalMatrix:
@@ -209,12 +209,11 @@ def graph_to_tropical(g: Graph) -> TropicalMatrix:
 
     Self-loops are ignored; the distance from a node to itself is 0.
     Undirected graphs yield symmetric output. Parallel stored edges keep
-    the minimum weight, the first stored one on a tie of 0.0 and -0.0.
+    the minimum weight.
     """
     data = np.full((g.n_nodes, g.n_nodes), INF)
     u, v, w = _edge_arrays(g)
-    # np.minimum keeps its second operand on a tie, so fold the edges last to first
-    np.minimum.at(data, (u[::-1], v[::-1]), w[::-1])
+    np.minimum.at(data, (u, v), w)
     np.fill_diagonal(data, 0.0)  # over any self-loop
     return TropicalMatrix._wrap(data)
 

@@ -122,6 +122,21 @@ def regress_instance():
     return REGRESS_A.copy(), REGRESS_Y.copy()
 
 
+@pytest.fixture
+def idempotency_products(monkeypatch):
+    """A list that gains one entry for each A (x) A that is_idempotent compares with A."""
+    import minplus.core as core
+
+    calls, compare = [], core._entries_close
+
+    def counting(*args):
+        calls.append(1)
+        return compare(*args)
+
+    monkeypatch.setattr(core, "_entries_close", counting)
+    return calls
+
+
 def random_nonneg_graph_matrix(rng, n, density=0.6, high=9):
     """Random symmetric one-hop matrix: zero diagonal, integer weights."""
     a = np.full((n, n), INF)

@@ -68,13 +68,13 @@ def render_edge_list(g: Graph) -> str:
 
 
 def ref_graph_to_tropical(g: Graph) -> np.ndarray:
-    """Weight matrix built one stored edge at a time; Python's min keeps the
-    earlier of two equal weights."""
+    """Weight matrix built one stored edge at a time, -0 weights as 0."""
     data = np.full((g.n_nodes, g.n_nodes), INF)
     np.fill_diagonal(data, 0.0)
     for u, v, w in g.edges:
         if u == v:
             continue
+        w += 0.0
         data[u, v] = min(data[u, v], w)
         if not g.directed:
             data[v, u] = min(data[v, u], w)

@@ -186,7 +186,7 @@ def test_criterion_6_walk_and_closure_identities():
                     failures += 1
         # closure is idempotent and stabilizes at power n-1
         star = kleene_star(a)
-        if not is_idempotent(star):
+        if not is_idempotent(TropicalMatrix(star.data)):  # an unmarked copy, so the product runs
             failures += 1
         if not np.array_equal(star.data, truncated_series(a, max(n - 1, 1)).data):
             failures += 1

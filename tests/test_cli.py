@@ -359,17 +359,8 @@ def test_residual_curve_sym_monotone_and_exact_at_full_rank(edges_file, tmp_path
     assert values[-1] == 0.0
 
 
-def test_residual_curve_checks_idempotency_once(tmp_path, monkeypatch):
-    import minplus.factorization as factorization
-
-    calls = []
-    check = factorization.is_idempotent
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return check(*args, **kwargs)
-
-    monkeypatch.setattr(factorization, "is_idempotent", counting)
+def test_residual_curve_checks_idempotency_once(tmp_path, idempotency_products):
+    calls = idempotency_products
     src = tmp_path / "d.csv"
     src.write_text("\n".join(",".join(f"{v:g}" for v in row) for row in EXAMPLE_D) + "\n")
     argv = [
@@ -384,26 +375,16 @@ def test_residual_curve_checks_idempotency_once(tmp_path, monkeypatch):
     assert len(calls) == 1  # a closure is idempotent by construction
 
 
-def test_cap_on_connected_graph_keeps_closure_unchecked(tmp_path, monkeypatch):
+def test_cap_on_connected_graph_keeps_closure_unchecked(tmp_path, idempotency_products):
     # a connected graph's closure has no inf entry, so --cap leaves it as it
-    # is, still marked idempotent by kleene_star: the O(n^3) guard never runs
-    import minplus.factorization as factorization
-
-    calls = []
-    check = factorization.is_idempotent
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return check(*args, **kwargs)
-
-    monkeypatch.setattr(factorization, "is_idempotent", counting)
+    # is, still marked idempotent by kleene_star: the idempotency product never runs
     argv = [
         "factor", "--mode", "sym", "--rank", "2", "--restarts", "1", "--max-iter", "2",
         "--input", str(GENERAL_62), "--out-dir", str(tmp_path),
     ]
     assert main(argv) == 0
     assert main([*argv, "--cap", "100"]) == 0
-    assert calls == []
+    assert idempotency_products == []
 
 
 def test_residual_curve_general_never_rises(tmp_path):
@@ -712,3 +693,66 @@ def test_cap_out_of_range_exits_2_before_work(tmp_path, command, cap):
         warnings.simplefilter("error")  # no overflow and no idempotency warning: nothing ran
         assert main(command + ["--input", str(src), "--cap", cap, "--out-dir", str(out)]) == 2
     assert list(out.iterdir()) == []
+
+
+# inputs of the exit-code table, by file name
+EXIT_INPUTS = {
+    "six.edges": EXAMPLE_EDGES,
+    "split.edges": "a b 1\nb c 1\nd e 2\n",  # two components: inf distances
+    "neg.edges": "a b -1\n",
+    "bad.csv": "1,2\n3\n",
+    "cycle.csv": "0,-1\n-1,0\n",
+    "A.csv": "0,0\n1,0\n",
+    "infrow.csv": "0,0\ninf,inf\n",
+    "y.csv": "0\n1\n",
+    "short.csv": "0\n",
+    "factors.json": '{"left": [[1, 2]], "labels": ["a", "b"]}',
+}
+FACTOR = ["factor", "--restarts", "1", "--max-iter", "2", "--input"]
+REGRESS = ["regress", "--matrix", "A.csv", "--rhs"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # 2: a flag's value, checked by argparse or against the input before any work
+        ([*FACTOR, "six.edges", "--rank", "0"], 2),
+        ([*FACTOR, "six.edges", "--rank", "1", "--mu", "1.5"], 2),
+        ([*FACTOR, "six.edges", "--rank", "1", "--mode", "bogus"], 2),
+        ([*FACTOR, "six.edges", "--rank", "1", "--cap", "nan"], 2),
+        ([*REGRESS, "y.csv", "--norm", "2", "--tol", "inf"], 2),
+        (["spd"], 2),
+        ([*FACTOR, "six.edges", "--rank", "7"], 2),
+        ([*FACTOR, "split.edges", "--rank", "1", "--cap", "0.5"], 2),
+        (["residual-curve", "--method", "svd", "--input", "split.edges", "--cap", "1e308"], 2),
+        # 3: a file that cannot be read or parsed, or whose shape is wrong
+        (["spd", "--input", "bad.csv"], 3),
+        (["spd", "--input", "missing.edges"], 3),
+        (["spd", "--input", "six.edges", "--format", "matrix-csv"], 3),
+        ([*REGRESS, "short.csv"], 3),
+        ([*REGRESS, "y.csv", "--norm", "2", "--x0", "short.csv"], 3),
+        (["assign", "--factors", "factors.json"], 3),
+        # 4: the numbers: a negative cycle or weight, or inf entries in a finite objective
+        (["spd", "--input", "cycle.csv"], 4),
+        (["spd", "--input", "neg.edges"], 4),
+        ([*FACTOR, "split.edges", "--rank", "1"], 4),
+        (["baseline", "--method", "svd", "--rank", "1", "--input", "split.edges"], 4),
+        (["residual-curve", "--method", "minplus-sym", "--input", "split.edges"], 4),
+        (["regress", "--matrix", "infrow.csv", "--rhs", "y.csv"], 4),
+        # two faults: argparse runs first, then the input is read, then --cap and --rank are checked
+        ([*FACTOR, "split.edges", "--rank", "7"], 2),
+        (["baseline", "--method", "svd", "--rank", "7", "--input", "split.edges"], 2),
+        ([*FACTOR, "bad.csv", "--rank", "0"], 2),
+        ([*REGRESS, "short.csv", "--norm", "2", "--tol", "nan"], 2),
+        ([*FACTOR, "bad.csv", "--rank", "7"], 3),
+        ([*FACTOR, "missing.edges", "--rank", "1", "--cap", "0.5"], 3),
+        ([*FACTOR, "neg.edges", "--rank", "7"], 4),
+    ],
+)
+def test_exit_code_by_flag_class(tmp_path, monkeypatch, argv, code):
+    for name, text in EXIT_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == code
+    assert not out.exists() or list(out.iterdir()) == []

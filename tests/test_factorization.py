@@ -360,31 +360,23 @@ def test_waypoint_routines_warn_on_non_idempotent_input(as_matrix):
             sym_factorize(D, cfg)
 
 
-def test_closure_never_reaches_is_idempotent(example_d, monkeypatch):
-    calls = []
-    monkeypatch.setattr(factorization, "is_idempotent", lambda *args, **kw: calls.append(1))
+def test_closure_never_reaches_is_idempotent(example_d, idempotency_products):
+    # kleene_star marks its closure, so is_idempotent never multiplies it
     closure = kleene_star(TropicalMatrix(example_d))
     actual_waypoint(closure, [0, 1])
     actual_waypoint_search(closure, 2)
     sym_factorize(closure, SymFactorConfig(rank=2, restarts=1, max_iter=2))
-    assert calls == []
+    assert idempotency_products == []
 
 
-def test_idempotency_checked_once_per_matrix(example_d, monkeypatch):
-    calls = []
-
-    def counting(*args, **kw):
-        calls.append(1)
-        return True
-
-    monkeypatch.setattr(factorization, "is_idempotent", counting)
+def test_idempotency_checked_once_per_matrix(example_d, idempotency_products):
     D = TropicalMatrix(example_d)  # not a closure: unchecked until first use
     for rank in (1, 2, 3):
         sym_factorize(D, SymFactorConfig(rank=rank, restarts=1, max_iter=2))
     actual_waypoint_search(D, 2)
-    assert len(calls) == 1
+    assert len(idempotency_products) == 1
     sym_factorize(example_d, SymFactorConfig(rank=1, restarts=1, max_iter=2))
-    assert len(calls) == 2  # a bare array has nowhere to keep the verdict
+    assert len(idempotency_products) == 2  # a bare array has nowhere to keep the verdict
 
 
 def test_jacobi_map_single_entry():
@@ -868,6 +860,9 @@ def test_nonsym_half_sweep_memory_is_quadratic(closure300):
 
 def test_nonsym_extra_inits_validation():
     m = np.arange(12.0).reshape(3, 4)
+    for init in ((np.zeros((3, 2)),), (np.zeros((3, 2)), np.zeros((2, 4)), np.zeros((2, 4)))):
+        with pytest.raises(ShapeError, match="pair"):
+            nonsym_factorize(m, 2, extra_inits=(init,))
     with pytest.raises(ShapeError):
         nonsym_factorize(m, 2, extra_inits=((np.zeros((3, 1)), np.zeros((1, 4))),))
     with pytest.raises(DomainError):

@@ -17,6 +17,7 @@ from minplus import (
     mp_multiply,
     mp_power,
     shortest_path_matrix,
+    write_matrix_csv,
 )
 from minplus.graphs import _tokenize_gml, _unquote
 
@@ -26,6 +27,7 @@ from oracles import (
     oracle_min_path_fixed_length,
     ref_graph_to_adjacency,
     ref_graph_to_tropical,
+    ref_kleene_star,
     ref_tokenize_gml,
     render_edge_list,
 )
@@ -238,12 +240,13 @@ def test_graph_to_tropical_ignores_self_loops():
 @pytest.mark.parametrize("directed", [False, True])
 def test_graph_conversions_match_edge_loops(directed):
     # self-loops, anti-parallel and parallel edges, 0.0 and -0.0 tying on
-    # one entry (the first stored wins), one node, and no edges
+    # one entry, a path of -0.0 weights, one node, and no edges
     labels = tuple("abcde")
     cases = [
         Graph(labels, ((0, 0, 3.0), (0, 1, 2.0), (1, 0, 5.0), (2, 3, -0.0), (3, 2, 0.0),
                        (1, 2, 7.0), (1, 2, 1.5), (4, 4, 0.0), (3, 4, 0.0), (4, 3, -0.0)), directed),
         Graph(labels, ((2, 1, 0.0), (1, 2, -0.0), (0, 4, -0.0), (0, 4, 0.0)), directed),
+        Graph(("a", "b", "c"), ((0, 1, -0.0), (1, 2, -0.0)), directed),
         Graph(("a",), ((0, 0, 1.0),), directed),
         Graph(("a",), (), directed),
         Graph(labels, (), directed),
@@ -252,8 +255,9 @@ def test_graph_conversions_match_edge_loops(directed):
     for g in cases:
         assert graph_to_tropical(g).data.tobytes() == ref_graph_to_tropical(g).tobytes()
         assert graph_to_adjacency(g).tobytes() == ref_graph_to_adjacency(g).tobytes()
-    signs = np.signbit(graph_to_tropical(cases[1]).data)
-    assert signs[0, 4] and signs[1, 2] == directed  # the first stored zero wins each tie
+        assert not np.signbit(graph_to_tropical(g).data).any()  # -0 enters as 0
+        assert shortest_path_matrix(g).data.tobytes() == ref_kleene_star(ref_graph_to_tropical(g)).tobytes()
+    assert "-0" not in write_matrix_csv(shortest_path_matrix(cases[2]))
 
 
 def test_graph_to_adjacency_is_binary():

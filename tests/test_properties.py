@@ -1,9 +1,11 @@
 """Properties of the min-plus kernels on generated input: every product,
 selector, closure and waypoint search equals an independent oracle bit for
-bit, and waypoint products keep the paper's invariants."""
+bit, and closures, waypoint products and Chebyshev solutions keep the
+paper's invariants."""
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,13 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from minplus import (
-    INF, NegativeCycleError, TropicalMatrix, actual_waypoint, actual_waypoint_search, kleene_star, mp_multiply,
-    write_matrix_csv,
+    INF, NegativeCycleError, TropicalMatrix, actual_waypoint, actual_waypoint_search, chebyshev_regression,
+    is_idempotent, kleene_star, mp_multiply, principal_solution, write_matrix_csv,
 )
+import minplus.core as core
 from minplus.core import _factors, _outer_sum
 from minplus.factorization import TILE_ROWS, _sym_product
 
-from oracles import bellman_ford, ref_kleene_star, ref_waypoint_search
+from oracles import bellman_ford, ref_kleene_star, ref_waypoint_search, tropical_allclose
 from test_core import brute_force_product, ref_write_csv
 
 # small integers tie often; reals round; + 0.0 turns -0.0 into 0.0, so that
@@ -101,6 +104,67 @@ def nonneg_graphs(draw):
 @given(nonneg_graphs())
 def test_kleene_star_equals_full_matrix_reference(a):
     assert kleene_star(TropicalMatrix(a)).data.tobytes() == ref_kleene_star(a).tobytes()
+
+
+@given(nonneg_graphs())
+def test_closure_is_idempotent(a):
+    # a fresh copy carries no verdict, so the product runs: kleene_star's mark is true
+    assert is_idempotent(TropicalMatrix(kleene_star(TropicalMatrix(a)).data))
+
+
+@st.composite
+def square_matrices(draw):
+    """Up to 6 x 6 entries from ENTRIES, or the closure of their absolute
+    values, which is idempotent, with one entry maybe moved by a step about
+    the tolerance or larger."""
+    n = draw(st.integers(0, 6))
+    a = draw(arrays(float, (n, n), elements=ENTRIES))
+    if draw(st.booleans()):
+        a = ref_kleene_star(np.abs(a))
+        if n:
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            a[i, j] += draw(st.sampled_from([0.0, 5e-10, 2e-9, -1.0]))
+    return a
+
+
+@given(square_matrices())
+def test_is_idempotent_compares_the_square_with_the_matrix(a):
+    A = TropicalMatrix(a)
+    expected = tropical_allclose(mp_multiply(A, A), A)
+    event("idempotent" if expected else "not idempotent")
+    assert is_idempotent(A) == expected
+    with mock.patch.object(core, "_mp", side_effect=AssertionError("a second product")):
+        assert is_idempotent(A) == expected  # the kept verdict
+
+
+@st.composite
+def regression_instances(draw):
+    """A (up to 6 x 6) with entries from ENTRIES, some inf, and a finite
+    entry in every row and column, and a finite y."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = draw(arrays(float, (rows, cols), elements=ENTRIES))
+    k = np.arange(max(rows, cols))
+    a[k % rows, k % cols] = draw(arrays(float, len(k), elements=FINITE))
+    return a, draw(arrays(float, rows, elements=FINITE))
+
+
+@given(regression_instances())
+def test_chebyshev_solution_is_the_least_optimum(instance):
+    a, y = instance
+    A = TropicalMatrix(a)
+    out = chebyshev_regression(A, y)
+
+    def sup_residual(x):
+        return float(np.max(np.abs(mp_multiply(A, TropicalMatrix(x[:, None])).data[:, 0] - y)))
+
+    scale = 1.0 + np.abs(a[np.isfinite(a)]).max() + np.abs(y).max()
+    overshoot = mp_multiply(A, TropicalMatrix(principal_solution(A, y)[:, None])).data[:, 0] - y
+    assert abs(out.residual_norm - overshoot.max() / 2) <= 1e-12 * scale
+    step = 1e-6 * scale
+    for j in range(a.shape[1]):  # any lower point undershoots some row by more
+        lowered = out.solution.copy()
+        lowered[j] -= step
+        assert sup_residual(lowered) >= out.residual_norm + step / 2
 
 
 @st.composite

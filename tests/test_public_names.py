@@ -63,3 +63,17 @@ def test_every_exported_name_has_a_caller():
     }
     unused = [name for name in minplus.__all__ if name not in used | accepted]
     assert unused == [], f"exported but used neither in the package nor the acceptance tests: {unused}"
+
+
+def test_only_core_touches_the_idempotency_verdict():
+    # is_idempotent owns the verdict kept on a TropicalMatrix: it alone reads
+    # and records it, and kleene_star marks its closure, so no other module
+    # can keep a verdict that is_idempotent would not give
+    touching = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if getattr(node, "attr", None) == "_idempotent" or getattr(node, "value", None) == "_idempotent"
+    )
+    assert touching == [], f"modules other than core.py touch _idempotent: {touching}"
