@@ -49,12 +49,21 @@ def svd(M) -> SvdResult:
     return SvdResult(singular_values=s, left_vectors=u, right_vectors=vt.T)
 
 
-def svd_truncate(M, m: int) -> tuple[np.ndarray, float]:
-    """Best Frobenius rank-m approximation and its relative residual.
+def _dropped(s: np.ndarray) -> np.ndarray:
+    """Entry m is sqrt(sum_{k >= m} s_k^2) for m = 0..len(s), the residual of the best rank-m
+    approximation given its singular values s, each sum taken from the smallest s_k up."""
+    return np.sqrt(np.append(np.cumsum(s[::-1] ** 2)[::-1], 0.0))
 
-    The residual is sqrt(sum of squared dropped singular values) divided
-    by ||M||_F (0 for a zero matrix).
-    """
+
+def _relative(M, residuals):
+    """residuals (a number or a sequence) divided by ||M||_F, or 0 for a zero M."""
+    norm = np.linalg.norm(M)
+    return np.divide(residuals, norm) if norm > 0 else np.zeros_like(residuals, dtype=float)
+
+
+def svd_truncate(M, m: int) -> tuple[np.ndarray, float]:
+    """Best Frobenius rank-m approximation and its relative residual: the
+    dropped singular values' root sum of squares over ||M||_F, 0 for a zero M."""
     m_mat = np.asarray(M, dtype=float)
     r = min(m_mat.shape)
     if not (1 <= m <= r):
@@ -62,9 +71,7 @@ def svd_truncate(M, m: int) -> tuple[np.ndarray, float]:
     result = svd(m_mat)
     u, s, v = result.left_vectors, result.singular_values, result.right_vectors
     approx = (u[:, :m] * s[:m]) @ v[:, :m].T
-    norm = float(np.sqrt(np.sum(m_mat * m_mat)))
-    tail = float(np.sqrt(np.sum(s[m:] ** 2)))
-    return approx, (tail / norm if norm > 0.0 else 0.0)
+    return approx, float(_relative(m_mat, _dropped(s)[m]))
 
 
 def nnmf(M, m: int, iters: int = 2000, seed: int = 0) -> NnmfResult:

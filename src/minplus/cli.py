@@ -13,6 +13,7 @@ error (negative cycle, infinite entries in a finite objective).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import nnmf, svd, svd_truncate
+from .baselines import _dropped, _relative, nnmf, svd, svd_truncate
 from .core import (
     INF,
     TropicalMatrix,
@@ -180,16 +181,9 @@ def _cmd_regress(args, out_dir: Path):
         x0 = None if args.x0 == "auto" else _read_vector_csv(args.x0, "x0")
         cfg = RegressionConfig(max_iter=args.max_iter, tol=args.tol)
         outcome = newton_directed_line_search(a, y, x0=x0, cfg=cfg)
-    record = {
-        "solution": outcome.solution.tolist(),
-        "residual_norm": float(outcome.residual_norm),
-        "norm_kind": outcome.norm_kind,
-        "iterations": outcome.iterations,
-        "converged": outcome.converged,
-        "residual_trace": list(outcome.residual_trace),
-    }
+    record = {**dataclasses.asdict(outcome), "solution": outcome.solution.tolist()}
     out_path = _write(out_dir / args.out, _json_text(record))
-    return [out_path], {"residual_norm": record["residual_norm"]}
+    return [out_path], {"residual_norm": outcome.residual_norm}
 
 
 def _cmd_factor(args, out_dir: Path):
@@ -245,7 +239,6 @@ def _cmd_baseline(args, out_dir: Path):
         out_path = _write(out_dir / args.out, write_matrix_csv(approx))
         return [out_path], {"relative_residual": rel}
     result = nnmf(data, args.rank, iters=args.iters, seed=args.seed)
-    norm = float(np.linalg.norm(data))
     final = result.residual_trace[-1]
     stem = Path(args.out).stem
     outputs = [
@@ -256,10 +249,7 @@ def _cmd_baseline(args, out_dir: Path):
             "".join(f"{v:.17g}\n" for v in result.residual_trace),
         ),
     ]
-    return outputs, {
-        "residual": final,
-        "relative_residual": final / norm if norm > 0 else 0.0,
-    }
+    return outputs, {"residual": final, "relative_residual": float(_relative(data, final))}
 
 
 def _pad_rank_init(prev_left: np.ndarray) -> np.ndarray:
@@ -284,24 +274,14 @@ def _cmd_residual_curve(args, out_dir: Path):
     max_rank = min(data.shape)
     if args.max_rank is not None:
         max_rank = min(max_rank, args.max_rank)
-    norm = float(np.linalg.norm(data))
-
-    def relative(value: float) -> float:
-        return value / norm if norm > 0 else 0.0
-
-    rows = []
+    ranks = range(1, max_rank + 1)
     if args.method == "svd":
-        tail_sq = np.cumsum(svd(data).singular_values[::-1] ** 2)[::-1]
-        for m in range(1, max_rank + 1):
-            tail = float(np.sqrt(tail_sq[m])) if m < len(tail_sq) else 0.0
-            rows.append((m, relative(tail)))
+        residuals = _dropped(svd(data).singular_values)[1:max_rank + 1]
     elif args.method == "nnmf":
-        for m in range(1, max_rank + 1):
-            result = nnmf(data, m, iters=args.iters, seed=args.seed)
-            rows.append((m, relative(result.residual_trace[-1])))
+        residuals = [nnmf(data, m, iters=args.iters, seed=args.seed).residual_trace[-1] for m in ranks]
     else:  # minplus-sym or minplus-general: each rank also starts from the last rank's pair
-        pair = None
-        for m in range(1, max_rank + 1):
+        residuals, pair = [], None
+        for m in ranks:
             if args.method == "minplus-sym":
                 extra = () if pair is None else (_pad_rank_init(pair.left.data),)
                 pair = sym_factorize(matrix, _sym_config(args, m), extra_inits=extra)
@@ -310,12 +290,18 @@ def _cmd_residual_curve(args, out_dir: Path):
                     (_pad_rank_init(pair.left.data), _pad_rank_init(pair.right.data.T).T),
                 )
                 pair = nonsym_factorize(matrix, m, _nonsym_config(args), extra_inits=extra)
-            rows.append((m, relative(pair.residual)))
-    if not np.isfinite([v for _, v in rows]).all():
+            residuals.append(pair.residual)
+    relative = _relative(data, residuals).tolist()
+    if not np.isfinite(relative).all():
         raise DomainError("residual curve is not finite; use a smaller --cap")
-    body = "rank,relative_residual\n" + "".join(f"{m},{v:.17g}\n" for m, v in rows)
+    body = "rank,relative_residual\n" + "".join(f"{m},{v:.17g}\n" for m, v in zip(ranks, relative))
     out_path = _write(out_dir / args.out, body)
-    return [out_path], {"ranks": len(rows), "final_relative_residual": rows[-1][1] if rows else None}
+    return [out_path], {"ranks": len(relative), "final_relative_residual": relative[-1] if relative else None}
+
+
+def _csv_field(text: str) -> str:
+    """text as one RFC 4180 field: quoted, inner quotes doubled, if it holds a comma, a quote or a line break."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
 def _cmd_assign(args, out_dir: Path):
@@ -337,7 +323,7 @@ def _cmd_assign(args, out_dir: Path):
         recips = np.divide(1.0, left, out=np.full(left.shape, INF), where=left > 0.0)
     rows = write_matrix_csv(TropicalMatrix._wrap(recips)).splitlines(keepends=True)
     header = "node,assigned," + ",".join(f"recip_{k + 1}" for k in range(left.shape[1])) + "\n"
-    body = "".join(f"{label},{choice},{row}" for label, choice, row in zip(labels, assigned, rows))
+    body = "".join(f"{_csv_field(str(label))},{choice},{row}" for label, choice, row in zip(labels, assigned, rows))
     out_path = _write(out_dir / args.out, header + body)
     return [out_path], {"nonpositive_entries": nonpositive, "sentinel": "inf"}
 

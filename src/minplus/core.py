@@ -247,6 +247,13 @@ def is_idempotent(A: TropicalMatrix) -> bool:
     return A._idempotent
 
 
+def _frobenius(diff: np.ndarray) -> np.ndarray:
+    """||diff||_F over the last two axes, squaring diff in place: for each matrix the bits of
+    np.sqrt(np.sum(diff ** 2)), as each matrix's squares are summed as one flat row."""
+    squares = np.square(diff, out=diff)
+    return np.sqrt(np.sum(squares.reshape(squares.shape[:-2] + (-1,)), axis=-1))
+
+
 def frobenius_distance(A: TropicalMatrix, B: TropicalMatrix) -> float:
     """Square root of the summed squared entrywise differences.
 
@@ -257,7 +264,7 @@ def frobenius_distance(A: TropicalMatrix, B: TropicalMatrix) -> float:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     if np.isinf(a).any() or np.isinf(b).any():
         raise DomainError("Frobenius distance is only defined for finite matrices")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
+    return float(_frobenius(a - b))
 
 
 def read_matrix_csv(text: str) -> TropicalMatrix:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -28,7 +29,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .core import INF, TILE_ROWS, TropicalMatrix, _as_matrix, _data_of, _factors, _fold, _mp, _outer_sum
-from .core import frobenius_distance, is_idempotent
+from .core import _frobenius, frobenius_distance, is_idempotent
 from .errors import DomainError, ShapeError
 from .regression import RegressionConfig, _chebyshev_shift, _newton_batch
 
@@ -142,14 +143,14 @@ def actual_waypoint(D: TropicalMatrix, W) -> FactorPair:
     """
     d = _check_symmetric_distance(D)
     W, n = list(W), d.shape[0]
-    waypoints = [int(w) for w in W if not isinstance(w, (bool, np.bool_)) and float(w).is_integer()]
+    waypoints = [int(w) for w in W if isinstance(w, numbers.Real) and not isinstance(w, bool) and float(w).is_integer()]
     if not W or len(set(waypoints)) != len(W):
-        raise ValueError("waypoints must be one or more distinct integer indices, not bools or fractions")
+        raise ValueError("waypoints must be one or more distinct integer indices, not bools, fractions or text")
     for w in waypoints:
         if not (0 <= w < n):
             raise IndexError(f"waypoint index {w} outside 0..{n - 1}")
     left = d[:, waypoints]
-    return _waypoint_pair(left, float(np.sqrt(np.sum((d - _mp(left, left.T)) ** 2))), 0)
+    return _waypoint_pair(left, float(_frobenius(d - _mp(left, left.T))), 0)
 
 
 def _tile_sums(d: np.ndarray, buf: np.ndarray, fill):
@@ -179,10 +180,10 @@ def _residual_fill(wrows: np.ndarray, scratch: np.ndarray, kept: np.ndarray, til
 
 def _kept_residual(kept: np.ndarray) -> float:
     """||D(:,W) (x) D(:,W)^T - D||_F from a whole exact scan's tiles in kept, squared in place, bit for
-    bit np.sqrt(np.sum((D - product) ** 2)): D and the product are symmetric, and fl(p - d) = -fl(d - p)."""
+    bit _frobenius(D - product): D and the product are symmetric, and fl(p - d) = -fl(d - p)."""
     for top in range(TILE_ROWS, len(kept), TILE_ROWS):
         kept[top:, top - TILE_ROWS:top] = kept[top - TILE_ROWS:top, top:].T
-    return float(np.sqrt(np.sum(np.square(kept, out=kept))))
+    return float(_frobenius(kept))
 
 
 def _bound_fill(near: np.ndarray, tile, rows, top) -> None:
@@ -360,12 +361,6 @@ def _best_of_starts(outcomes, target: float = -np.inf) -> FactorPair:
     return FactorPair(TropicalMatrix._wrap(left), TropicalMatrix._wrap(right), res, runs, tuple(trace))
 
 
-def _sym_residuals(d: np.ndarray, product: np.ndarray) -> np.ndarray:
-    """||D - product_p||_F for each start p, summed as np.sum sums one; squares in place in product."""
-    np.square(np.subtract(d, product, out=product), out=product)
-    return np.sqrt(np.sum(product.reshape(len(product), -1), axis=1))
-
-
 def _sym_block(d: np.ndarray, f: np.ndarray, cfg: SymFactorConfig):
     """Run a (P, n, m) stack of starts of the symmetric driver together:
     each start's (residual, best F, its transpose, trace), in order.
@@ -380,7 +375,7 @@ def _sym_block(d: np.ndarray, f: np.ndarray, cfg: SymFactorConfig):
     """
     m = f.shape[2]
     product, selectors = _sym_product(f)
-    best_res, best_f = _sym_residuals(d, product), f.copy()
+    best_res, best_f = _frobenius(np.subtract(d, product, out=product)), f.copy()
     traces = [[r] for r in best_res.tolist()]
     mu, stall = np.full(len(f), cfg.shoot), np.zeros(len(f), dtype=int)
     act = np.arange(len(f))  # the starts still iterating
@@ -397,7 +392,7 @@ def _sym_block(d: np.ndarray, f: np.ndarray, cfg: SymFactorConfig):
         weight = mu[act, None, None]
         f = weight * fp + (1.0 - weight) * f
         product, selectors = _sym_product(f)
-        res = _sym_residuals(d, product)
+        res = _frobenius(np.subtract(d, product, out=product))
         better = res < best_res[act]
         best_res[act[better]], best_f[act[better]] = res[better], f[better]
         stall[act] = np.where(better, 0, stall[act] + 1)
@@ -534,7 +529,7 @@ def _nonsym_run(m_mat: np.ndarray, a: np.ndarray, b: np.ndarray, cfg: NonsymFact
     pair, with every pair's residual in the trace; ties keep the earliest."""
     best, trace = None, []
     for pair in _alternate(m_mat, a, b, cfg):
-        res = float(np.sqrt(np.sum((m_mat - _mp(*pair)) ** 2)))
+        res = float(_frobenius(m_mat - _mp(*pair)))
         trace.append(res)
         if best is None or res < best[0]:
             best = (res, *pair)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: files, reports, exit codes, determinism."""
 
+import csv
 import json
 import math
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minplus import read_matrix_csv
+from minplus import read_matrix_csv, svd_truncate
 from minplus import cli
 from minplus.cli import main
 
@@ -243,6 +244,18 @@ def test_regress_both_norms(tmp_path):
     assert (np.diff(trace) <= 1e-10).all()
 
 
+def test_regress_json_holds_the_outcome_fields_in_order(tmp_path):
+    (tmp_path / "A.csv").write_text("0,inf\n1,0\n0,1\n")
+    (tmp_path / "y.csv").write_text("0\n1\n1\n")
+    keys = ["solution", "residual_norm", "norm_kind", "iterations", "converged", "residual_trace"]
+    for norm in ("inf", "2"):
+        argv = ["regress", "--matrix", str(tmp_path / "A.csv"), "--rhs", str(tmp_path / "y.csv"), "--norm", norm]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / "regress.json").read_text())
+        assert list(record) == keys
+        assert record["norm_kind"] == norm and record["residual_trace"][-1] == record["residual_norm"]
+
+
 def test_regress_x0_file(tmp_path):
     (tmp_path / "A.csv").write_text("0,0\n1,0\n0,1\n")
     (tmp_path / "y.csv").write_text("0,1,1\n")  # row vector form
@@ -298,6 +311,20 @@ def test_baseline_svd_on_graph(edges_file, tmp_path):
     assert report["residuals"]["relative_residual"] == pytest.approx(expect, abs=1e-10)
     approx = read_matrix_csv((tmp_path / "baseline.csv").read_text()).data
     assert approx.shape == (6, 6)
+
+
+def test_svd_relative_residual_has_one_set_of_bits(tmp_path):
+    # baseline, the curve and svd_truncate share one tail sum and one norm
+    edges = Path(__file__).parent / "golden" / "graph30_real.edges"
+    assert main(["spd", "--input", str(edges), "--out-dir", str(tmp_path)]) == 0
+    d = read_matrix_csv((tmp_path / "spd.csv").read_text()).data
+    assert main(["residual-curve", "--input", str(edges), "--method", "svd", "--out-dir", str(tmp_path)]) == 0
+    curve = np.loadtxt(tmp_path / "curve.csv", delimiter=",", skiprows=1)[:, 1]
+    for m in range(1, 30):
+        argv = ["baseline", "--input", str(edges), "--method", "svd", "--rank", str(m), "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        reported = read_report(tmp_path, "baseline")["residuals"]["relative_residual"]
+        assert reported.hex() == float(curve[m - 1]).hex() == svd_truncate(d, m)[1].hex(), m
 
 
 def test_baseline_nnmf_uses_adjacency(edges_file, tmp_path):
@@ -486,6 +513,23 @@ def test_assign_writes_reciprocals_byte_for_byte(tmp_path):
         for label, row in zip(labels, left)
     )
     assert (tmp_path / "assign.csv").read_text() == expected
+
+
+def test_assign_quotes_labels_that_hold_csv_specials(tmp_path):
+    # edge-list labels may hold commas; quoted GML ids may hold quotes and line breaks too
+    (tmp_path / "g.edges").write_text("a,b c,d 1\nc,d e 2\na,b e 4\n")
+    argv = ["factor", "--input", str(tmp_path / "g.edges"), "--mode", "sym", "--rank", "1", "--restarts", "2"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    factors = tmp_path / "factors.json"
+    record = json.loads(factors.read_text())
+    record["labels"][1] = 'say "hi",\nthen\r go'
+    factors.write_text(json.dumps(record))
+    assert main(["assign", "--factors", str(factors), "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "assign.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert all(len(row) == 3 for row in rows)
+    assert [row[0] for row in rows] == ["node"] + record["labels"]
+    assert "\ne,1," in (tmp_path / "assign.csv").read_text()  # a plain label stays bare
 
 
 @pytest.mark.parametrize(

@@ -121,8 +121,8 @@ def test_actual_waypoint_product_dominates_and_pins_waypoint_rows():
 def test_actual_waypoint_input_validation(example_d):
     with pytest.raises(ValueError):
         actual_waypoint(example_d, [1, 1])
-    # int() would truncate a fraction or a bool to a valid index
-    for waypoints in ([], [1.7], [True], [np.True_], [0, np.float64(2.5)], [float("nan")], [INF]):
+    # int() would truncate a fraction or a bool to a valid index, and float() parses text
+    for waypoints in ([], [1.7], [True], [np.True_], [0, np.float64(2.5)], [float("nan")], [INF], ["1"], [" 2 "]):
         with pytest.raises(ValueError, match="integer"):
             actual_waypoint(example_d, waypoints)
     assert actual_waypoint(example_d, [np.float64(2.0), 3.0]).residual == actual_waypoint(example_d, [2, 3]).residual

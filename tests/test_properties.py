@@ -1,23 +1,26 @@
 """Properties of the min-plus kernels on generated input: every product,
 selector, closure and waypoint search equals an independent oracle bit for
-bit, and closures, waypoint products and Chebyshev solutions keep the
-paper's invariants."""
+bit; closures, waypoint products, Chebyshev solutions and rank curves keep
+the paper's invariants; the matrix CSV reader inverts its writer."""
 
 import math
+import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from minplus import (
     INF, NegativeCycleError, TropicalMatrix, actual_waypoint, actual_waypoint_search, chebyshev_regression,
-    is_idempotent, kleene_star, mp_multiply, principal_solution, write_matrix_csv,
+    is_idempotent, kleene_star, mp_multiply, principal_solution, read_matrix_csv, write_matrix_csv,
 )
 import minplus.core as core
+from minplus.cli import main
 from minplus.core import _factors, _outer_sum
 from minplus.factorization import TILE_ROWS, _sym_product
 
@@ -281,3 +284,45 @@ def csv_matrices(draw):
 def test_csv_writer_formats_each_entry_as_format_does(data):
     # wrapped, not constructed: the constructor would turn -0.0 into 0.0
     assert write_matrix_csv(TropicalMatrix._wrap(data)) == ref_write_csv(data)
+
+
+# an n x 0 matrix writes n blank lines, which read back as 0 x 0: it lies outside the format
+@given(csv_matrices().filter(lambda data: data.shape[1] or not data.shape[0]))
+@example(np.empty((0, 0)))
+def test_csv_reader_inverts_the_writer(data):
+    text = write_matrix_csv(TropicalMatrix._wrap(data))
+    back = read_matrix_csv(text).data
+    assert back.shape == data.shape
+    assert back.tobytes() == (data + 0.0).tobytes()  # -0 reads as 0
+    assert write_matrix_csv(TropicalMatrix._wrap(back)) == ref_write_csv(data + 0.0)
+
+
+@st.composite
+def curve_runs(draw):
+    """An undirected connected edge list on up to 10 nodes, with integer weights 1..9
+    or those times 0.1*pi, and the residual-curve flags of a small run."""
+    n = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 0.1 * math.pi if draw(st.booleans()) else 1.0
+    order = rng.permutation(n)  # a spanning path keeps every distance finite
+    chords = rng.integers(0, n, size=(draw(st.integers(0, n)), 2))
+    pairs = list(zip(order[:-1], order[1:])) + chords.tolist()
+    edges = "".join(f"{u} {v} {rng.integers(1, 10) * scale:.17g}\n" for u, v in pairs)
+    flags = ["--max-rank", draw(st.integers(1, 4)), "--restarts", draw(st.integers(1, 2)),
+             "--max-iter", draw(st.integers(1, 10)), "--seed", draw(st.integers(0, 3))]
+    return edges, [str(flag) for flag in flags]
+
+
+@settings(max_examples=25)
+@given(curve_runs())
+@example(("0 3 2\n3 2 8\n2 1 6\n1 3 1\n0 3 7\n0 1 4\n",  # a cold sym start rises at rank 3 here
+          ["--max-rank", "3", "--restarts", "1", "--max-iter", "1", "--seed", "1"]))
+def test_rank_curves_never_increase(run):
+    edges, flags = run
+    with tempfile.TemporaryDirectory() as tmp:  # hypothesis rejects function-scoped fixtures
+        (Path(tmp) / "g.edges").write_text(edges)
+        for method in ("minplus-sym", "minplus-general"):
+            argv = ["residual-curve", "--input", str(Path(tmp) / "g.edges"), "--method", method, "--out-dir", tmp]
+            assert main(argv + flags) == 0
+            values = np.loadtxt(Path(tmp) / "curve.csv", delimiter=",", skiprows=1, ndmin=1, usecols=1)
+            assert (np.diff(values) <= 0.0).all(), method
