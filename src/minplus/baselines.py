@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import INFEASIBLE_HINT, DomainError
 
 NNMF_EPS = 1e-12
 
@@ -44,7 +44,7 @@ def svd(M) -> SvdResult:
     if m_mat.ndim != 2:
         raise DomainError("svd expects a 2-d matrix")
     if not np.isfinite(m_mat).all():
-        raise DomainError("svd expects finite entries")
+        raise DomainError(f"svd expects finite entries; {INFEASIBLE_HINT}")
     u, s, vt = np.linalg.svd(m_mat, full_matrices=False)
     return SvdResult(singular_values=s, left_vectors=u, right_vectors=vt.T)
 
@@ -84,8 +84,10 @@ def nnmf(M, m: int, iters: int = 2000, seed: int = 0) -> NnmfResult:
     m_mat = np.asarray(M, dtype=float)
     if m_mat.ndim != 2:
         raise DomainError("nnmf expects a 2-d matrix")
-    if not np.isfinite(m_mat).all() or (m_mat < 0).any():
-        raise DomainError("nnmf expects finite non-negative entries")
+    if not np.isfinite(m_mat).all():
+        raise DomainError(f"nnmf expects finite entries; {INFEASIBLE_HINT}")
+    if (m_mat < 0).any():
+        raise DomainError("nnmf expects non-negative entries")
     n, d = m_mat.shape
     if not (1 <= m <= min(n, d)):
         raise ValueError(f"rank must lie in 1..{min(n, d)}")

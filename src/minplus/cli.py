@@ -31,7 +31,7 @@ from .core import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from .errors import DomainError, MinPlusError, ParseError, ShapeError
+from .errors import INFEASIBLE_HINT, DomainError, MinPlusError, ParseError, ShapeError
 from .factorization import (
     NonsymFactorConfig,
     SymFactorConfig,
@@ -233,8 +233,6 @@ def _cmd_baseline(args, out_dir: Path):
     if args.rank > min(data.shape):
         raise UsageError(f"--rank {args.rank} exceeds the input size {min(data.shape)}")
     if args.method == "svd":
-        if not np.isfinite(data).all():
-            raise DomainError("svd needs a finite matrix; use --cap for infinite entries")
         approx, rel = svd_truncate(data, args.rank)
         out_path = _write(out_dir / args.out, write_matrix_csv(approx))
         return [out_path], {"relative_residual": rel}
@@ -270,7 +268,7 @@ def _cmd_residual_curve(args, out_dir: Path):
     matrix = _baseline_matrix(args)
     data = matrix.data
     if not np.isfinite(data).all():
-        raise DomainError("residual curves need a finite matrix; use --cap for infinite entries")
+        raise DomainError(f"residual curves need a finite matrix; {INFEASIBLE_HINT}")
     max_rank = min(data.shape)
     if args.max_rank is not None:
         max_rank = min(max_rank, args.max_rank)

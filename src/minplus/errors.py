@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types, and the --cap hint, shared across the package.
 
 The CLI maps these onto exit codes: parse and shape problems are data
 errors (exit 3), domain violations are numerical errors (exit 4).
 """
+
+INFEASIBLE_HINT = "cap infinite entries first (the CLI exposes --cap for this)"
 
 
 class MinPlusError(Exception):

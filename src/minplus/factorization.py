@@ -30,10 +30,8 @@ import numpy as np
 
 from .core import INF, TILE_ROWS, TropicalMatrix, _as_matrix, _data_of, _factors, _fold, _mp, _outer_sum
 from .core import _frobenius, frobenius_distance, is_idempotent
-from .errors import DomainError, ShapeError
+from .errors import INFEASIBLE_HINT, DomainError, ShapeError
 from .regression import RegressionConfig, _chebyshev_shift, _newton_batch
-
-INFEASIBLE_HINT = "cap infinite entries first (the CLI exposes --cap for this)"
 
 SYM_TOL = 0.0  # symmetric driver: early-exit residual target
 DECAY_PATIENCE = 5  # iterations without improvement before mu decays

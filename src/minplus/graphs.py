@@ -10,7 +10,6 @@ indices; reports that face users print 1-based positions.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ class Graph:
         for u, v, w in self.edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) references a node index outside 0..{n - 1}")
-            if not math.isfinite(w) or w < 0:
+            if not 0.0 <= w < INF:  # NaN fails both comparisons
                 raise DomainError(f"edge ({u}, {v}) weight {w!r} must be finite and >= 0")
 
     @property
@@ -55,10 +54,25 @@ def _min_weight_edges(edges: list[tuple[int, int, float]], directed: bool) -> tu
     return tuple((u, v, w) for (u, v), w in weight.items())
 
 
+def _weight(token: str | None, where: int | tuple[str, str]) -> float:
+    """An edge weight: 1.0 when token is None, else its value, finite and >= 0. where,
+    an edge-list line number or a GML edge's (source, target), is formatted only on error."""
+    try:
+        w = 1.0 if token is None else float(token) + 0.0  # -0 enters as 0
+    except ValueError:
+        w = None
+    if w is not None and 0.0 <= w < INF:  # NaN fails both comparisons
+        return w
+    place = f"line {where}" if isinstance(where, int) else "edge ({}, {})".format(*where)
+    if w is None:
+        raise ParseError(f"{place}: cannot parse weight {token!r}")
+    raise DomainError(f"{place}: weight {token!r} must be finite and >= 0")
+
+
 def load_edge_list(text: str, directed: bool = False) -> Graph:
     """Parse `u v [w]` lines into a Graph.
 
-    `#` starts a comment, missing weights default to 1.0, labels are
+    `#` starts a comment, weights follow `_weight`, labels are
     registered in first-appearance order, and repeated edges keep the
     minimum weight (for undirected input, regardless of orientation).
     """
@@ -73,18 +87,7 @@ def load_edge_list(text: str, directed: bool = False) -> Graph:
             raise ParseError(f"line {lineno}: expected 'u v [w]', got {len(tokens)} tokens")
         u = index_of.setdefault(tokens[0], len(index_of))
         v = index_of.setdefault(tokens[1], len(index_of))
-        if len(tokens) == 3:
-            try:
-                w = float(tokens[2]) + 0.0  # -0 enters as 0
-            except ValueError:
-                raise ParseError(f"line {lineno}: cannot parse weight {tokens[2]!r}") from None
-        else:
-            w = 1.0
-        if not math.isfinite(w):
-            raise DomainError(f"line {lineno}: weight must be finite, got {tokens[2]!r}")
-        if w < 0:
-            raise DomainError(f"line {lineno}: negative weight {w}")
-        edges.append((u, v, w))
+        edges.append((u, v, _weight(tokens[2] if len(tokens) == 3 else None, lineno)))
     return Graph(tuple(index_of), _min_weight_edges(edges, directed), directed)
 
 
@@ -134,10 +137,12 @@ def _parse_gml_block(tokens: list[str], pos: int, top: bool = False) -> tuple[li
     raise ParseError("unbalanced brackets: block not closed")
 
 
-def _scalar(items: list[tuple[str, object]], key: str) -> str | None:
+def _scalar(items: list[tuple[str, object]], key: str, block: str = "") -> str | None:
     values = [v for k, v in items if k == key]
     if any(isinstance(v, list) for v in values):
         raise ParseError(f"{key!r} must be a scalar, not a block")
+    if block and not values:
+        raise ParseError(f"{block} block without {key!r}")
     return values[0] if values else None
 
 
@@ -147,7 +152,7 @@ def load_gml_subset(text: str) -> Graph:
     Node labels are the ids, in block order. id, source, target and value
     must be scalars; other attributes (label and nested blocks such as
     graphics included) are skipped. `directed 1` switches to a directed
-    graph; edge weights default to 1.0.
+    graph. Nodes are read first, so an edge may name a later node.
     """
     items, _ = _parse_gml_block(_tokenize_gml(text), 0, top=True)
     graph_items = next((value for key, value in items if key == "graph" and isinstance(value, list)), None)
@@ -156,42 +161,25 @@ def load_gml_subset(text: str) -> Graph:
 
     directed = False
     index_of: dict[str, int] = {}
-    raw_edges: list[tuple[str, str, float]] = []
     for key, value in graph_items:
         if key == "directed" and isinstance(value, str):
             directed = value.strip() == "1"
         elif key == "node" and isinstance(value, list):
-            node_id = _scalar(value, "id")
-            if node_id is None:
-                raise ParseError("node block without an id")
+            node_id = _scalar(value, "id", block="node")
             if node_id in index_of:
                 raise ParseError(f"duplicate node id {node_id!r}")
             index_of[node_id] = len(index_of)
-        elif key == "edge" and isinstance(value, list):
-            source = _scalar(value, "source")
-            target = _scalar(value, "target")
-            if source is None or target is None:
-                raise ParseError("edge block needs both source and target")
-            raw_value = _scalar(value, "value")
-            if raw_value is None:
-                w = 1.0
-            else:
-                try:
-                    w = float(raw_value) + 0.0  # -0 enters as 0
-                except ValueError:
-                    raise ParseError(f"cannot parse edge value {raw_value!r}") from None
-            raw_edges.append((source, target, w))
 
     edges: list[tuple[int, int, float]] = []
-    for source, target, w in raw_edges:
-        for node_id in (source, target):
-            if node_id not in index_of:
-                raise ParseError(f"edge references unknown node id {node_id!r}")
-        if not math.isfinite(w):
-            raise DomainError(f"edge ({source}, {target}) weight must be finite")
-        if w < 0:
-            raise DomainError(f"edge ({source}, {target}) has negative weight {w}")
-        edges.append((index_of[source], index_of[target], w))
+    for key, value in graph_items:
+        if key == "edge" and isinstance(value, list):
+            source = _scalar(value, "source", block="edge")
+            target = _scalar(value, "target", block="edge")
+            for node_id in (source, target):
+                if node_id not in index_of:
+                    raise ParseError(f"edge references unknown node id {node_id!r}")
+            w = _weight(_scalar(value, "value"), (source, target))
+            edges.append((index_of[source], index_of[target], w))
     return Graph(tuple(index_of), _min_weight_edges(edges, directed), directed)
 
 

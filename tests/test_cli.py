@@ -358,6 +358,15 @@ def test_baseline_svd_infinite_needs_cap(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("method", ["svd", "nnmf"])
+def test_baseline_infinite_matrix_error_names_cap(tmp_path, capsys, method):
+    src = tmp_path / "gap.csv"
+    src.write_text("0,inf\n1,0\n")
+    argv = ["baseline", "--input", str(src), "--method", method, "--rank", "1", "--out-dir", str(tmp_path)]
+    assert main(argv) == 4
+    assert "--cap" in capsys.readouterr().err
+
+
 def test_factor_inf_distances_need_cap(tmp_path):
     src = tmp_path / "two.edges"
     src.write_text("a b 1\nc d 2\n")
@@ -595,6 +604,35 @@ def test_parse_errors_exit_3(tmp_path):
         badtext.write_text(text)
         assert main(["spd", "--input", str(badtext), "--format", "gml", "--out-dir", str(tmp_path)]) == 3
     assert not (tmp_path / "spd.csv").exists()
+
+
+GML_NODES = "node [ id 1 ] node [ id 2 ]"
+
+
+@pytest.mark.parametrize(
+    "body, code, message",
+    [
+        # every node block is read before any edge block
+        (f"edge [ source 1 ] {GML_NODES} node [ label x ]", 3, "node block without 'id'"),
+        (f"{GML_NODES} edge [ source 1 target 2 value x ] node [ id 2 ]", 3, "duplicate node id '2'"),
+        # within one edge block, the ids come before the weight
+        (f"{GML_NODES} edge [ source 1 target 5 value x ]", 3, "edge references unknown node id '5'"),
+        (f"{GML_NODES} edge [ source 1 target 5 value -1 ]", 3, "edge references unknown node id '5'"),
+        (f"{GML_NODES} edge [ target 2 value -1 ]", 3, "edge block without 'source'"),
+        # edge blocks in block order: an earlier bad weight before a later missing source
+        (f"{GML_NODES} edge [ source 1 target 2 value -1 ] edge [ target 2 ]", 4, "edge (1, 2): weight '-1'"),
+        (f"{GML_NODES} edge [ source 1 target 2 value x ] edge [ target 2 ]", 3, "edge (1, 2): cannot parse weight 'x'"),
+    ],
+    ids=[
+        "node-before-edge", "duplicate-before-edge", "ids-before-unparsed-weight", "ids-before-bad-weight",
+        "source-before-weight", "earlier-bad-weight-first", "earlier-unparsed-weight-first",
+    ],
+)
+def test_gml_fault_precedence(tmp_path, capsys, body, code, message):
+    src = tmp_path / "faults.gml"
+    src.write_text(f"graph [ {body} ]")
+    assert main(["spd", "--input", str(src), "--out-dir", str(tmp_path)]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_numerical_errors_exit_4(tmp_path):

@@ -118,6 +118,9 @@ CASES = {
     "spd-gml": (["spd"], ("spd.csv",), GML_GRAPH),
     # the two residual-curve branches that warm-start no rank
     "curve-svd": (["residual-curve", "--method", "svd", "--max-rank", "6"], ("curve.csv",)),
+    # every rank on real weights, where summing the dropped singular values
+    # from the smallest up and pairwise give different bits on 8 ranks
+    "curve-svd-real": (["residual-curve", "--method", "svd"], ("curve.csv",), REAL_GRAPH),
     "curve-nnmf": (
         ["residual-curve", "--method", "nnmf", "--iters", "50", "--max-rank", "4", "--seed", "7"],
         ("curve.csv",),

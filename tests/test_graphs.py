@@ -1,5 +1,8 @@
 """Graph ingestion, tropical conversion, and brute-force path oracles."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -78,12 +81,43 @@ def test_edge_list_directed_duplicates_stay_separate():
 def test_edge_list_errors():
     with pytest.raises(ParseError, match="line 2"):
         load_edge_list("a b 1\nc\n")
-    with pytest.raises(ParseError):
-        load_edge_list("a b one\n")
-    with pytest.raises(DomainError):
-        load_edge_list("a b -2\n")
-    with pytest.raises(DomainError):
-        load_edge_list("a b inf\n")
+
+
+# (weight token, error, message after the place); one rule for both loaders
+BAD_WEIGHTS = [
+    ("inf", DomainError, "weight 'inf' must be finite and >= 0"),
+    ("nan", DomainError, "weight 'nan' must be finite and >= 0"),
+    ("-1", DomainError, "weight '-1' must be finite and >= 0"),
+    ("x", ParseError, "cannot parse weight 'x'"),
+]
+
+
+@pytest.mark.parametrize("token, error, message", BAD_WEIGHTS)
+def test_edge_list_bad_weight_names_its_line(token, error, message):
+    with pytest.raises(error, match=re.escape(f"line 3: {message}")):
+        load_edge_list(f"# header\na b 2\nb c {token}\nc d 1\n")
+
+
+@pytest.mark.parametrize("token, error, message", BAD_WEIGHTS)
+def test_gml_bad_value_names_its_edge(token, error, message):
+    edges = f"edge [ source 7 target 9 value 2 ] edge [ source 9 target 7 value {token} ]"
+    text = f"graph [ node [ id 7 ] node [ id 9 ] {edges} ]"
+    with pytest.raises(error, match=re.escape(f"edge (9, 7): {message}")):
+        load_gml_subset(text)
+
+
+@pytest.mark.parametrize("token", ["-0", "-0.0", "-0e5"])
+def test_negative_zero_weight_loads_as_positive_zero(token):
+    edge_list = load_edge_list(f"a b {token}\n")
+    gml = load_gml_subset(f"graph [ node [ id a ] node [ id b ] edge [ source a target b value {token} ] ]")
+    for g in (edge_list, gml):
+        assert g.edges == ((0, 1, 0.0),)
+        assert math.copysign(1.0, g.edges[0][2]) == 1.0
+
+
+def test_gml_edge_may_name_a_later_node():
+    g = load_gml_subset("graph [ edge [ source 2 target 1 value 4 ] node [ id 1 ] node [ id 2 ] ]")
+    assert g.node_labels == ("1", "2") and g.edges == ((0, 1, 4.0),)
 
 
 def test_render_round_trip(example_edges):

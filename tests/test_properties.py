@@ -208,6 +208,24 @@ def test_kleene_star_reports_a_negative_cycle_iff_bellman_ford_finds_one(a):
         assert np.array_equal(kleene_star(TropicalMatrix(a)).data, expected)
 
 
+@given(signed_graphs())
+def test_kleene_star_equals_scipy_floyd_warshall(a):
+    # a second closure oracle, written independently of this package. scipy
+    # skips self-loops, so a negative one, a cycle here, is raised to 0; on a
+    # dense array it reads 0 as a missing edge, so inf marks them instead
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    np.fill_diagonal(a, np.maximum(a.diagonal(), 0.0))
+    graph = csgraph.csgraph_from_dense(a, null_value=np.inf)
+    try:
+        expected = csgraph.shortest_path(graph, method="FW")
+    except csgraph.NegativeCycleError:
+        event("negative cycle")
+        with pytest.raises(NegativeCycleError):
+            kleene_star(TropicalMatrix(a))
+    else:
+        assert kleene_star(TropicalMatrix(a)).data.tobytes() == expected.tobytes()
+
+
 @st.composite
 def waypoint_inputs(draw):
     """A symmetric matrix, its kind and a waypoint rank. The kinds: the
