@@ -19,8 +19,8 @@ from .errors import DomainError, NegativeCycleError, ParseError, ShapeError
 INF = float("inf")
 
 CSV_FLOAT_FORMAT = ".17g"
-TILE_ROWS = 64  # rows per tile of each row-tiled pass: write_matrix_csv (its first tile picks the format) and
-# the waypoint scan; one height bounds the scratch of every such pass at TILE_ROWS x n entries
+TILE_ROWS = 64  # rows per tile of each row-tiled pass: write_matrix_csv (its first tile picks the format),
+# is_idempotent and the waypoint scan; one height bounds the scratch of every such pass at TILE_ROWS x n entries
 IDEMPOTENT_TOL = 1e-9  # is_idempotent: finite entries of A (x) A and A agree within this
 # kleene_star runs B pivots per pass over D, H rows at a time (B*H*n scratch).
 # B divides H, so a symmetric pivot block lies in one tile and reads no stale entry.
@@ -228,22 +228,26 @@ def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
 
 
 def _entries_close(a: np.ndarray, b: np.ndarray) -> bool:
-    # inf must match inf exactly; finite entries compare within IDEMPOTENT_TOL
-    a_inf = np.isinf(a)
-    if not np.array_equal(a_inf, np.isinf(b)):
-        return False
-    finite = ~a_inf
-    return bool(np.all(np.abs(a[finite] - b[finite]) <= IDEMPOTENT_TOL))
+    # inf must match inf exactly; finite entries compare within IDEMPOTENT_TOL. The scratch is one gap,
+    # made absolute in place (inf - finite is inf and inf - inf is nan, both outside), and two masks
+    close = np.isinf(a) & np.isinf(b)
+    with np.errstate(invalid="ignore"):
+        gap = np.subtract(a, b)
+    close |= np.abs(gap, out=gap) <= IDEMPOTENT_TOL
+    return bool(close.all())
 
 
 def is_idempotent(A: TropicalMatrix) -> bool:
-    """True iff A (x) A equals A entrywise within IDEMPOTENT_TOL (inf matches only inf). A TropicalMatrix
+    """True iff A (x) A equals A entrywise within IDEMPOTENT_TOL (inf matches only inf). The product is
+    folded and compared TILE_ROWS rows at a time, stopping at the first tile that differs. A TropicalMatrix
     keeps the verdict, so its product runs at most once, and never for a closure, marked by kleene_star."""
     A = _as_matrix(A)
     if A.rows != A.cols:
         raise ShapeError(f"idempotency needs a square matrix, got {A.shape}")
     if A._idempotent is None:
-        A._idempotent = _entries_close(_mp(A.data, A.data), A.data)
+        a = A.data
+        A._idempotent = all(_entries_close(_mp(a[top:top + TILE_ROWS], a), a[top:top + TILE_ROWS])
+                            for top in range(0, len(a), TILE_ROWS))
     return A._idempotent
 
 

@@ -509,14 +509,20 @@ def _alternate(m_mat: np.ndarray, a: np.ndarray, b: np.ndarray, cfg: NonsymFacto
     """The pairs of one general run: the start, then the pair after each
     half-sweep. The half-sweeps return new arrays, so no pair changes in
     place; the run ends after cfg.max_iter outer iterations, or once no
-    factor entry moved NONSYM_TOL in one."""
+    factor entry moved NONSYM_TOL in one. Both half-sweeps read only the
+    previous pair by default, so on a square M they run as one batch."""
     inner_cfg = RegressionConfig(max_iter=INNER_MAX_ITER)
+    together = not cfg.gauss_seidel and m_mat.shape[0] == m_mat.shape[1]
     yield a, b
     for _ in range(cfg.max_iter):
         a_prev, b_prev = a, b
-        b = _newton_batch(a, m_mat.T, b.T, inner_cfg)[0].T  # one problem per column of M
-        yield a, b
-        a = _newton_batch((b if cfg.gauss_seidel else b_prev).T, m_mat, a, inner_cfg)[0]
+        if together:  # one problem per column of M, then one per row
+            x = _newton_batch(np.stack((a, b.T)), (m_mat.T, m_mat), np.concatenate((b.T, a)), inner_cfg)[0]
+            b, a = x[: len(m_mat)].T, x[len(m_mat):]
+        else:
+            b = _newton_batch(a, m_mat.T, b.T, inner_cfg)[0].T  # one problem per column of M
+            a = _newton_batch((b if cfg.gauss_seidel else b_prev).T, m_mat, a, inner_cfg)[0]
+        yield a_prev, b
         yield a, b
         if (np.abs(a - a_prev) < NONSYM_TOL).all() and (np.abs(b - b_prev) < NONSYM_TOL).all():
             return
@@ -548,8 +554,9 @@ def nonsym_factorize(
     to warm-start from the previous rank). Then columns of B and rows of A
     are refined in turn by the 2-norm solver, warm-started at their
     previous values; by default the row sweep regresses against the
-    previous outer iteration's B. Each half-sweep's problems share one
-    design matrix (A, or B^T) and run as one batch. Every start runs, and
+    previous outer iteration's B. The problems of one outer iteration run
+    as one batch over the designs A and B^T, or, with gauss_seidel or a
+    non-square M, one batch per half-sweep. Every start runs, and
     the best pair ever seen (initialization included) is returned, so the
     residual never exceeds any start's; ties keep the earliest start.
     """

@@ -7,8 +7,8 @@ quadratic in x: each row i is governed by whichever column attains
 min_j(a_ij + x_j), and pieces meet on the tie surface where some row's
 argmin is not unique. The 2-norm solver alternates the piecewise Newton
 target with an exact line search toward it, so the residual never rises.
-Problems sharing one design run as one batch. Past a few passes over the
-whole table, a step works only on tied rows and rows whose piece changes.
+Problems on designs of one shape run as one batch. Past a few passes over
+the whole table, a step works only on tied rows and rows whose piece changes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .core import INF, TropicalMatrix, _data_of, _factors, _mp, _outer_sum
 from .errors import DomainError, ShapeError, UnboundedColumnError
 
 TIE_TOL = 1e-9
-BATCH_ELEMENTS = 2**16  # a batch block holds p*n*d <= max(Y.size, this) elements
+BATCH_ELEMENTS = 2**16  # a batch block holds p*n*d <= max(this, one design's Y.size) elements
 
 
 @dataclass
@@ -104,12 +104,13 @@ def _chebyshev_shift(a: np.ndarray, Y: np.ndarray, xhat: np.ndarray) -> np.ndarr
 
 
 def _newton_targets(
-    a: np.ndarray, Y: np.ndarray, X: np.ndarray, sel: np.ndarray, tied: np.ndarray, near: np.ndarray
+    a: np.ndarray, design: np.ndarray, Y: np.ndarray, X: np.ndarray, sel: np.ndarray, tied: np.ndarray,
+    near: np.ndarray,
 ) -> np.ndarray:
-    """Newton targets (p, d) of p problems against one design, restricted
-    to directions tangent to the tie surface: columns tied within a row,
-    transitively, form a group that moves by one common increment, the
-    mean of y_i - a_ik - x_k over the rows selecting one of its columns,
+    """Newton targets (p, d) of p problems, problem k against a[design[k]],
+    restricted to directions tangent to the tie surface: columns tied within
+    a row, transitively, form a group that moves by one common increment,
+    the mean of y_i - a_ik - x_k over the rows selecting one of its columns,
     summed in row order. Groups selected by no row stay frozen. Y, X, sel
     and the mask tied hold one problem per row; near (d, t) marks each tied
     row's columns within TIE_TOL of its minimum. Only tied rows merge
@@ -127,7 +128,7 @@ def _newton_targets(
         np.minimum.at(labels, key, row_label[entry])
     labels, problems = labels.reshape(p, d), np.arange(p)[:, None]
     group = (labels[problems, sel] + d * problems).ravel()  # bincounts sum each group in row order
-    weights = Y - a[np.arange(n), sel] - X[problems, sel]
+    weights = Y - a[design[:, None], np.arange(n), sel] - X[problems, sel]
     sums = np.bincount(group, weights=weights.ravel(), minlength=p * d)
     counts = np.bincount(group, minlength=p * d)
     increment = np.divide(sums, counts, out=np.zeros(p * d), where=counts > 0).reshape(p, d)
@@ -215,19 +216,26 @@ def _exact_line_search(
     return np.maximum.reduceat(ties.max(axis=0), first)
 
 
-def _newton_batch(a: np.ndarray, Y: np.ndarray, X0: np.ndarray, cfg: RegressionConfig):
+def _newton_batch(a: np.ndarray, Y, X0: np.ndarray, cfg: RegressionConfig):
     """newton_directed_line_search for the p problems (Y[k], X0[k]) against
-    one design a, unvalidated: solutions, iterations, converged, traces.
+    one design a (n, d), unvalidated: solutions, iterations, converged,
+    traces. A stack a (g, n, d) takes a sequence Y of g tables, design j's
+    problems being the rows of Y[j]; X0 holds them in that order.
 
-    A block of problems holds p*n*d <= max(Y.size, BATCH_ELEMENTS) table
-    entries. Its table a + x is (d, p, n), one slab per column, so minima
-    over columns are elementwise; each iteration forms it once for the
-    residual, the selectors and the tied rows (two or more columns within
-    TIE_TOL of the minimum). A problem leaves its block when its own stop
-    rule fires, so it takes exactly its one-problem steps.
+    A block holds p*n*d <= max(BATCH_ELEMENTS, one design's Y[j].size)
+    table entries, so a stack runs in blocks of one design's budget, which
+    may mix designs; each gathers only its active rows of each Y[j]. Its
+    table a + x is (d, p, n), one slab per column, so minima over columns
+    are elementwise, and one outer sum per design present; each iteration
+    forms it once for the residual, the selectors and the tied rows (two or
+    more columns within TIE_TOL of the minimum). A problem leaves its block
+    when its own stop rule fires, so it takes exactly its one-problem steps.
     """
-    (n, d), p = a.shape, Y.shape[0]
-    step = max(1, max(Y.size, BATCH_ELEMENTS) // max(n * d, 1))
+    if a.ndim == 2:
+        a, Y = a[None], (Y,)
+    (_, n, d), sizes = a.shape, [len(y) for y in Y]
+    offsets, design = np.cumsum([0, *sizes]), np.repeat(np.arange(len(Y)), sizes)
+    p, step = sum(sizes), max(1, max(BATCH_ELEMENTS, *(y.size for y in Y)) // max(n * d, 1))
     X = np.array(X0, dtype=float)
     iterations, converged = np.zeros(p, dtype=int), np.zeros(p, dtype=bool)
     traces: list[list[float]] = [[] for _ in range(p)]
@@ -235,9 +243,14 @@ def _newton_batch(a: np.ndarray, Y: np.ndarray, X0: np.ndarray, cfg: RegressionC
         act = np.arange(first, min(first + step, p))
         for it in range(cfg.max_iter + 1):
             x = X[act]
-            values = _outer_sum(np.empty((d, act.size, n)), *_factors(x.T, a.T))
+            runs = np.searchsorted(act, offsets)  # act is sorted: each design's problems form one run
+            values, y = np.empty((d, act.size, n)), np.empty((act.size, n))
+            for j in np.flatnonzero(runs[1:] > runs[:-1]).tolist():
+                run = slice(runs[j], runs[j + 1])
+                _outer_sum(values[:, run], *_factors(x[run].T, a[j].T))
+                y[run] = Y[j][act[run] - offsets[j]]
             row_min = values.min(axis=0)
-            res = np.sqrt(np.sum((row_min - Y[act]) ** 2, axis=1))
+            res = np.sqrt(np.sum((row_min - y) ** 2, axis=1))
             for k, r in zip(act.tolist(), res.tolist()):
                 traces[k].append(r)
             stop = np.zeros(act.size, dtype=bool)
@@ -251,7 +264,7 @@ def _newton_batch(a: np.ndarray, Y: np.ndarray, X0: np.ndarray, cfg: RegressionC
             sel = near.argmax(axis=0)  # an untied row's one near column is its argmin
             sel[tied] = values[:, tied].argmin(axis=0)
             near = near[:, tied]
-            slopes = _newton_targets(a, Y[act], x, sel, tied, near) - x
+            slopes = _newton_targets(a, design[act], y, x, sel, tied, near) - x
             stop |= np.abs(slopes).max(axis=1) == 0.0  # stationary: the target is the current point
             converged[act[stop]] = True
             go = ~stop
@@ -259,8 +272,8 @@ def _newton_batch(a: np.ndarray, Y: np.ndarray, X0: np.ndarray, cfg: RegressionC
             if not act.size:
                 break
             if not go.all():  # drop the stopped problems' slabs
-                values, sel, tied = values[:, go], sel[go], tied[go]
-            lam = _exact_line_search(values, Y[act], slopes, sel, tied)
+                values, y, sel, tied = values[:, go], y[go], sel[go], tied[go]
+            lam = _exact_line_search(values, y, slopes, sel, tied)
             X[act] = x + lam[:, None] * slopes
             iterations[act] += 1
     return X, iterations, converged, traces

@@ -124,7 +124,8 @@ def regress_instance():
 
 @pytest.fixture
 def idempotency_products(monkeypatch):
-    """A list that gains one entry for each A (x) A that is_idempotent compares with A."""
+    """A list that gains one entry for each row tile of A (x) A that is_idempotent compares with A,
+    so one per product of a matrix under core.TILE_ROWS rows."""
     import minplus.core as core
 
     calls, compare = [], core._entries_close

@@ -14,7 +14,9 @@ conversions must match byte for byte, and ref_tokenize_gml is the
 character scanner that the GML tokenizer's regular expression replaced.
 ref_jacobi_setup and ref_jacobi_apply are the Jacobi setup and sweep with
 their bincounts in row order, which the column-order kernels must match
-bit for bit.
+bit for bit. ref_alternate is the general driver's alternation with one
+batch per half-sweep, which the default alternation's one batch per outer
+iteration must match bit for bit.
 identity, tropical_allclose,
 min_plus_apply and render_edge_list were public names of the package that
 only tests called.
@@ -26,7 +28,9 @@ import math
 import numpy as np
 
 from minplus import INF, DomainError, Graph, NegativeCycleError, ParseError, TropicalMatrix, mp_multiply
+import minplus.factorization as factorization
 from minplus.core import _mp
+from minplus.regression import RegressionConfig, _newton_batch
 
 ORACLE_MAX_NODES = 7
 ORACLE_MAX_LENGTH = 5
@@ -308,3 +312,19 @@ def full_table_segment_events(values, slopes):
     prev = start[event_rows]
     prev[by_row[1:][same_row]] = cols[by_row[:-1][same_row]]
     return start, lams, event_rows, cols, prev
+
+
+def ref_alternate(m_mat, a, b, cfg):
+    """The general driver's alternation with each half-sweep its own batch,
+    the row half-sweep after the column half-sweep."""
+    inner_cfg = RegressionConfig(max_iter=factorization.INNER_MAX_ITER)
+    yield a, b
+    for _ in range(cfg.max_iter):
+        a_prev, b_prev = a, b
+        b = _newton_batch(a, m_mat.T, b.T, inner_cfg)[0].T
+        yield a, b
+        a = _newton_batch((b if cfg.gauss_seidel else b_prev).T, m_mat, a, inner_cfg)[0]
+        yield a, b
+        tol = factorization.NONSYM_TOL
+        if (np.abs(a - a_prev) < tol).all() and (np.abs(b - b_prev) < tol).all():
+            return

@@ -23,6 +23,8 @@ from minplus import (
     write_matrix_csv,
 )
 
+import minplus.core as core
+
 from conftest import random_nonneg_graph_matrix
 from oracles import identity, ref_kleene_star, tropical_allclose, truncated_series
 
@@ -314,6 +316,42 @@ def test_is_idempotent_memory_is_quadratic():
         tracemalloc.stop()
     assert peak < 16 * n * n * 8  # a few n x n arrays, never n x n x n
     assert peak < 3.5 * n * n * 8  # the product, its scratch and the comparison; one k's factors at a time
+    assert peak < 0.5 * n * n * 8  # one row tile of the product, its scratch and one gap: O(TILE_ROWS*n)
+
+
+def test_is_idempotent_by_tiles_matches_the_whole_product():
+    # seeded matrices with inf entries, n from 0 to 130 so that some span several
+    # row tiles; closures, some with one entry moved (often in a later tile)
+    rng = np.random.default_rng(130)
+    verdicts = []
+    for n in range(0, 131, 5):
+        for kind in range(3):
+            a = rng.integers(-2, 9, size=(n, n)).astype(float)
+            a[rng.random(size=a.shape) < 0.3] = INF
+            if kind:
+                a = ref_kleene_star(np.abs(a))
+            if kind == 2 and n:
+                i, j = int(rng.integers(n)), int(rng.integers(n))
+                a[i, j] += float(rng.choice([2e-9, -1.0, 3.0]))
+            verdict = is_idempotent(TropicalMatrix(a))
+            assert verdict == core._entries_close(core._mp(a, a), a)
+            assert verdict == tropical_allclose(mp_multiply(TropicalMatrix(a), TropicalMatrix(a)), TropicalMatrix(a))
+            verdicts.append((verdict, n > core.TILE_ROWS))
+    assert verdicts.count((True, True)) >= 10 and verdicts.count((False, True)) >= 20
+
+
+def test_is_idempotent_stops_at_the_first_failing_tile(monkeypatch):
+    n = 3 * core.TILE_ROWS
+    closure = ref_kleene_star(random_nonneg_graph_matrix(np.random.default_rng(192), n, density=0.05))
+    folds, fold = [], core._mp
+    monkeypatch.setattr(core, "_mp", lambda a, b: folds.append(a.shape) or fold(a, b))
+    assert is_idempotent(TropicalMatrix(closure))
+    assert folds == [(core.TILE_ROWS, n)] * 3
+    raised = closure.copy()
+    raised[0, 5] += 100.0  # row 0 now beats it through any neighbour: the first tile fails
+    folds.clear()
+    assert not is_idempotent(TropicalMatrix(raised))
+    assert folds == [(core.TILE_ROWS, n)]
 
 
 def test_tropical_allclose_infinity_handling():

@@ -49,10 +49,11 @@ from minplus.factorization import (
     _sym_product,
     _tile_sums,
 )
+import minplus.regression as regression
 from minplus.regression import RegressionConfig, _newton_batch
 
 from conftest import EXAMPLE_D, random_nonneg_graph_matrix
-from oracles import ref_jacobi_apply, ref_jacobi_setup, ref_waypoint_search
+from oracles import ref_alternate, ref_jacobi_apply, ref_jacobi_setup, ref_waypoint_search
 
 
 @pytest.fixture(scope="module")
@@ -843,6 +844,49 @@ def test_nonsym_factorize_memory_is_quadratic(closure300, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 10 * n * n * 8  # kmeans folds over centers; a half-sweep alone is ~8
+
+
+def test_nonsym_one_batch_over_two_designs_keeps_one_half_sweep_budget(closure300, monkeypatch):
+    d = closure300.data
+    n, m = d.shape[0], 20
+    monkeypatch.setattr(factorization, "INNER_MAX_ITER", 1)
+    tracemalloc.start()
+    try:
+        nonsym_factorize(d, m, NonsymFactorConfig(max_iter=1))  # square M: both half-sweeps in one batch
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * n * n * 8  # 6.2 with one batch per half-sweep, 8.5 with M^T and M concatenated
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_nonsym_factorize_matches_one_batch_per_half_sweep(block, monkeypatch):
+    # one batch per outer iteration over the designs A and B^T (the default on a
+    # square M) gives the pairs of one batch per half-sweep, bit for bit; so do
+    # Gauss-Seidel and a non-square M, which keep one batch per half-sweep
+    if block is not None:
+        monkeypatch.setattr(regression, "BATCH_ELEMENTS", block)
+    rng = np.random.default_rng(57)
+    cases = [
+        random_distance_matrix(rng, 9),
+        rng.integers(0, 9, size=(8, 8)).astype(float),
+        rng.normal(size=(7, 7)) * 3,
+        rng.normal(size=(6, 9)) * 3,
+        rng.integers(0, 9, size=(9, 5)).astype(float),
+    ]
+    for trial, m_mat in enumerate(cases):
+        rank, (n, cols) = 1 + trial % 3, m_mat.shape
+        extra = ((rng.normal(size=(n, rank)), rng.normal(size=(rank, cols))),)
+        for gauss_seidel in (False, True):
+            cfg = NonsymFactorConfig(max_iter=6, restarts=2, seed=trial, gauss_seidel=gauss_seidel)
+            got = nonsym_factorize(m_mat, rank, cfg, extra_inits=extra)
+            with monkeypatch.context() as patch:
+                patch.setattr(factorization, "_alternate", ref_alternate)
+                want = nonsym_factorize(m_mat, rank, cfg, extra_inits=extra)
+            assert got.left.data.tobytes() == want.left.data.tobytes()
+            assert got.right.data.tobytes() == want.right.data.tobytes()
+            assert (got.residual, got.iteration_trace) == (want.residual, want.iteration_trace)
+            assert got.restarts_used == want.restarts_used
 
 
 def test_nonsym_half_sweep_memory_is_quadratic(closure300):

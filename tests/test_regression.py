@@ -51,7 +51,8 @@ def restricted_newton_target(A, y, pattern):
     """One problem through the batched reg._newton_targets."""
     tied = pattern.near.sum(axis=1)[None] > 1
     near = pattern.near.T[:, tied[0]]
-    return reg._newton_targets(A.data, y[None], pattern.x[None], pattern.selectors[None], tied, near)[0]
+    x, sel = pattern.x[None], pattern.selectors[None]
+    return reg._newton_targets(A.data[None], np.zeros(1, int), y[None], x, sel, tied, near)[0]
 
 
 def newton_target(A, y, pattern):
@@ -682,7 +683,7 @@ def test_newton_targets_match_full_table_labels():
     for a, X in cases:
         Y = rng.integers(-4, 5, size=(X.shape[0], a.shape[0])).astype(float)
         sel, tied, near = engine_selectors(a.T[:, None, :] + X.T[:, :, None])
-        got = reg._newton_targets(a, Y, X, sel, tied, near[:, tied])
+        got = reg._newton_targets(a[None], np.zeros(len(X), int), Y, X, sel, tied, near[:, tied])
         assert got.tobytes() == full_table_newton_targets(a, Y, X, sel, near).tobytes()
         tied_counts.append(tied.sum(axis=1))
     assert tied_counts[0].tolist() == [3, 1, 2, 3]  # whole chains, and chains broken at one link
@@ -746,6 +747,43 @@ def test_newton_batch_matches_one_problem_path(block, monkeypatch):
                 assert (its, conv, trace) == (one.iterations, one.converged, one.residual_trace)
         mixed += len(set(zip(iterations.tolist(), converged.tolist()))) > 1
     assert mixed >= 15
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_newton_batch_design_stack_matches_one_problem_path(block, monkeypatch):
+    # problems against a stack of 2 or 3 designs of one shape, each design with
+    # its own right-hand sides (some passed as transposed views), take exactly
+    # their one-problem steps; a budget of 64 entries makes blocks straddle designs
+    if block is not None:
+        monkeypatch.setattr(reg, "BATCH_ELEMENTS", block)
+    rng = np.random.default_rng(43)
+    straddled = 0
+    for trial in range(24):
+        g, n, d = 2 + trial % 2, int(rng.integers(1, 9)), 1 + trial % 5
+        sizes = rng.integers(0, 21, size=g)
+        if trial % 2:  # integer ties
+            a = rng.integers(-4, 5, size=(g, n, d)).astype(float)
+            Ys = [rng.integers(-4, 5, size=(n, p)).astype(float).T for p in sizes]
+            X0 = rng.integers(-3, 4, size=(sizes.sum(), d)).astype(float)
+        else:
+            a = rng.normal(size=(g, n, d)) * 2
+            Ys = [rng.normal(size=(p, n)) * 2 for p in sizes]
+            X0 = rng.normal(size=(sizes.sum(), d))
+        keep = rng.integers(0, d, size=(g, n))
+        a[(rng.random(size=a.shape) < 0.25) & (np.arange(d) != keep[..., None])] = INF
+        cfg = RegressionConfig(max_iter=(1, 2, 500)[trial % 3], tol=float(rng.choice([0.0, 1e-10, 1e-3])))
+        X, iterations, converged, traces = reg._newton_batch(a, tuple(Ys), X0, cfg)
+        offsets = np.cumsum([0, *sizes])
+        for j in range(g):
+            for k in range(sizes[j]):
+                at = offsets[j] + k
+                one = newton_directed_line_search(TropicalMatrix(a[j]), Ys[j][k], x0=X0[at], cfg=cfg)
+                assert X[at].tobytes() == one.solution.tobytes()
+                assert (iterations[at], converged[at]) == (one.iterations, one.converged)
+                assert tuple(traces[at]) == one.residual_trace
+        step = max(1, max(reg.BATCH_ELEMENTS, n * sizes.max()) // (n * d))
+        straddled += any(0 < off < offsets[-1] and off % step for off in offsets[1:-1].tolist())
+    assert straddled >= 15  # trials with a block holding problems of two designs
 
 
 def test_line_search_default_start_is_chebyshev_solution():
