@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _frobenius
 from .errors import INFEASIBLE_HINT, DomainError
 
 NNMF_EPS = 1e-12
@@ -56,8 +57,8 @@ def _dropped(s: np.ndarray) -> np.ndarray:
 
 
 def _relative(M, residuals):
-    """residuals (a number or a sequence) divided by ||M||_F, or 0 for a zero M."""
-    norm = np.linalg.norm(M)
+    """residuals (a number or a sequence) divided by ||M||_F from core._frobenius, or 0 for a zero M."""
+    norm = float(_frobenius(np.array(M, dtype=float)))
     return np.divide(residuals, norm) if norm > 0 else np.zeros_like(residuals, dtype=float)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from minplus import DomainError, nnmf, svd, svd_truncate
 from minplus.baselines import _relative
+from minplus.core import _frobenius
 
 
 def random_shapes(rng, count):
@@ -88,12 +89,13 @@ def test_svd_truncate_matches_tail_sums(example_d):
         assert rel == pytest.approx(expect, abs=1e-10)
 
 
-def test_relative_residuals_divide_by_linalg_norm():
-    # the reported bits follow np.linalg.norm's summation; with OpenBLAS on
-    # x86-64, np.sqrt(np.sum(m * m)) differs from it in the last place on this
-    # matrix, while on the golden graph30_real closure the two agree
+def test_relative_residuals_divide_by_core_frobenius():
+    # the reported bits follow core._frobenius, the min-plus residuals' own
+    # rule, which no BLAS thread count changes; with OpenBLAS on x86-64,
+    # np.linalg.norm differs from it in the last place on this matrix
     m = np.random.default_rng(0).random((40, 40)) * np.pi
-    norm = np.linalg.norm(m)
+    norm = float(_frobenius(m.copy()))
+    assert norm != np.linalg.norm(m)
     assert _relative(m, [1.0, 3.0]).tolist() == [1.0 / norm, 3.0 / norm]
 
 

@@ -311,9 +311,11 @@ def test_actual_waypoint_search_memory_is_quadratic(closure300):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one scored product at a time, tiles of O(n) rows; a length-n vector
-    # kept per candidate would need budget * n * 8 bytes, over this bound
-    assert peak < 4 * n * n * 8
+    # one kept n x n buffer plus tiles of O(n) rows peaks at 2.02 n^2 doubles;
+    # scoring each survivor by a fresh product (result, scratch and D minus
+    # it) peaks at 3.90, and a length-n vector kept per candidate would need
+    # budget * n * 8 bytes: both exceed this bound
+    assert peak < 2.5 * n * n * 8
 
 
 def count_search_stages(monkeypatch):

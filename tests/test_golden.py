@@ -109,6 +109,24 @@ CASES = {
         FACTOR_FILES,
         TILES_GRAPH,
     ),
+    # real weights on 150 nodes: ||M||_F sums 22,500 rounded squares, enough
+    # for OpenBLAS to split a BLAS-dot norm over threads and change its bits
+    "curve-sym-tiles": (
+        [
+            "residual-curve", "--method", "minplus-sym", "--max-rank", "3",
+            "--restarts", "2", "--max-iter", "5", "--seed", "7",
+        ],
+        ("curve.csv",),
+        TILES_GRAPH,
+    ),
+    "curve-general-tiles": (
+        [
+            "residual-curve", "--method", "minplus-general", "--max-rank", "3",
+            "--restarts", "1", "--max-iter", "3", "--seed", "7",
+        ],
+        ("curve.csv",),
+        TILES_GRAPH,
+    ),
     # multiplicative updates on the raw adjacency: factors and residual trace
     "baseline-nnmf": (
         ["baseline", "--method", "nnmf", "--rank", "3", "--iters", "300", "--seed", "7"],
@@ -152,9 +170,10 @@ def test_golden_outputs_byte_identical(name, tmp_path):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_golden_outputs_do_not_depend_on_blas_threads(threads, tmp_path):
-    # every min-plus outer sum is a BLAS matmul: the data files must not
-    # depend on how many threads OpenBLAS splits it over
-    names = ["spd-real", "factor-actual-real", "factor-sym"]
+    # every min-plus outer sum is a BLAS matmul, and every relative residual
+    # divides by a norm: the data files must not depend on how many threads
+    # OpenBLAS splits either over
+    names = ["spd-real", "factor-actual-real", "factor-sym", "curve-sym-tiles", "curve-general-tiles"]
     runs = [case_argv(name, tmp_path / name) for name in names]
     script = "import json, sys; from minplus.cli import main; sys.exit(max(map(main, json.loads(sys.argv[1]))))"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}

@@ -296,21 +296,30 @@ def test_restricted_target_moves_tied_group_together(regress_instance):
     assert target[0] - x[0] == pytest.approx(target[1] - x[1])
 
 
-def test_line_search_is_exact_against_dense_sampling():
-    rng = np.random.default_rng(23)
+def line_search_trials(rng, draw):
+    """40 instances (a, y, x, target) with entries from draw(size), about 15%
+    of a set to inf and column 0 kept finite, so every row is finite somewhere."""
     for _ in range(40):
         n, d = int(rng.integers(2, 6)), int(rng.integers(1, 5))
-        a = rng.normal(size=(n, d)) * 2
+        a = draw((n, d)) * 2
         a[rng.random(size=a.shape) < 0.15] = INF
-        a[:, 0] = rng.normal(size=n)  # keep every row finite somewhere
-        y = rng.normal(size=n) * 2
-        x = rng.normal(size=d)
-        target = x + rng.normal(size=d)
-        ta = TropicalMatrix(a)
+        a[:, 0] = draw(n)
+        y, x = draw(n) * 2, draw(d)
+        yield a, y, x, x + draw(d)
+
+
+def test_line_search_is_exact_against_dense_sampling():
+    # normal reals never tie; small integers tie lines at lam = 0, cross
+    # several lines at one lam and give parallel lines
+    rng = np.random.default_rng(23)
+    normal = line_search_trials(rng, lambda size: rng.normal(size=size))
+    integer = line_search_trials(rng, lambda size: rng.integers(-2, 3, size=size).astype(float))
+    grid = np.linspace(0.0, 1.0, 2001)
+    for a, y, x, target in (*normal, *integer):
         lam = exact_line_search(a, y, x, target)
-        found = residual_sq(ta, y, x + lam * (target - x))
-        grid = np.linspace(0.0, 1.0, 2001)
-        sampled = min(residual_sq(ta, y, x + t * (target - x)) for t in grid)
+        found = residual_sq(TropicalMatrix(a), y, x + lam * (target - x))
+        points = x + grid[:, None] * (target - x)  # residual_sq at every grid point at once
+        sampled = ((np.min(a + points[:, None, :], axis=2) - y) ** 2).sum(axis=1).min()
         assert found <= sampled + 1e-9
 
 
