@@ -28,8 +28,8 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .core import INF, TILE_ROWS, TropicalMatrix, _as_matrix, _data_of, _factors, _fold, _mp, _outer_sum
-from .core import _frobenius, frobenius_distance, is_idempotent
+from .core import INF, TILE_ROWS, TropicalMatrix, _as_matrix, _data_of, _factors, _fold, _mirror, _mp, _outer_sum
+from .core import _frobenius, _tile_rows, frobenius_distance, is_idempotent
 from .errors import INFEASIBLE_HINT, DomainError, ShapeError
 from .regression import RegressionConfig, _chebyshev_shift, _newton_batch
 
@@ -179,8 +179,7 @@ def _residual_fill(wrows: np.ndarray, scratch: np.ndarray, kept: np.ndarray, til
 def _kept_residual(kept: np.ndarray) -> float:
     """||D(:,W) (x) D(:,W)^T - D||_F from a whole exact scan's tiles in kept, squared in place, bit for
     bit _frobenius(D - product): D and the product are symmetric, and fl(p - d) = -fl(d - p)."""
-    for top in range(TILE_ROWS, len(kept), TILE_ROWS):
-        kept[top:, top - TILE_ROWS:top] = kept[top - TILE_ROWS:top, top:].T
+    _mirror(kept, TILE_ROWS)
     return float(_frobenius(kept))
 
 
@@ -257,24 +256,48 @@ def actual_waypoint_search(
 
 def _sym_product(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F (x) F^T and its selectors K for each start of a (P, n, m) stack,
-    in one _fold over the m columns.
+    by _fold over the m columns.
 
     K[p,i,j] is the smallest column attaining min_k(f_pik + f_pjk), as
     argmin gives it. K is symmetric and of dtype np.min_scalar_type(m - 1),
-    one byte up to m = 256. Scratch memory is O(P*n^2); the P x n x n x m
+    one byte up to m = 256. Past one tile's size, each tile of TILE_ROWS rows
+    folds from its top row rightwards in contiguous scratch, and both lower
+    triangles are mirrored. Scratch memory is O(P*n^2); the P x n x n x m
     pair tensor is never formed.
     """
     p, n, m = f.shape
     cols = np.moveaxis(f, 2, 0)  # (m, P, n): column k of each start, copied into its factors by _fold
     product = np.full((p, n, n), INF)
     selectors = np.zeros(product.shape, dtype=np.min_scalar_type(m - 1))
-    _fold(product, cols, cols, np.empty_like(product), selectors)
+    rows = _tile_rows(product)
+    if rows >= n:  # one full-square tile, folded in place
+        _fold(product, cols, cols, np.empty_like(product), selectors)
+        return product, selectors
+    scratch, picks = np.empty((2, p * rows * n)), np.empty(p * rows * n, selectors.dtype)
+    for top in range(0, n, rows):
+        tile = np.s_[:, top:top + rows, top:]
+        shape = product[tile].shape
+        out, term, sel = (x[: math.prod(shape)].reshape(shape) for x in (*scratch, picks))
+        out[...], sel[...] = INF, 0
+        _fold(out, cols[..., top:top + rows], cols[..., top:], term, sel)
+        product[tile], selectors[tile] = out, sel
+    for a in (product, selectors):
+        _mirror(a, rows)
     return product, selectors
 
 
-def _jacobi_setup(dt: np.ndarray, selectors: np.ndarray, m: int):
-    """Tables for Jacobi sweeps of each start's quadratic frozen at its
-    symmetric (P, n, n) selectors K; dt is D^T (D itself when symmetric).
+def _jacobi_tables(dt: np.ndarray, p: int, m: int):
+    """What _jacobi_setup reuses over a block of p starts of rank m: the flat row bases p*n*m + i*m, column
+    bases p*n*m + j*m, p stacked copies of dt as flat weights, dt's diagonal and the columns 0..m-1."""
+    n = len(dt)
+    base = np.arange(p)[:, None] * (n * m) + np.arange(n) * m
+    weights = np.broadcast_to(dt, (p, n, n)).reshape(-1)  # a view of dt when p = 1 and dt is contiguous
+    return base[:, :, None], base[:, None, :], weights, dt.diagonal()[:, None], np.arange(m)
+
+
+def _jacobi_setup(tables, selectors: np.ndarray):
+    """Tables for Jacobi sweeps of each start's quadratic frozen at its symmetric
+    (P, n, n) selectors K, from _jacobi_tables of dt = D^T (D itself when symmetric).
 
     K comes from _sym_product, so a tied pair belongs to its smallest
     attaining column. Entry (p,i,k) of the update sums over the j with
@@ -285,17 +308,15 @@ def _jacobi_setup(dt: np.ndarray, selectors: np.ndarray, m: int):
     transposed weights (hence D^T): every sum is bitwise the row-order and
     P = 1 one. The setup and each sweep need O(P*n^2) memory and work.
     """
+    row_base, col_base, weights, d_diag, columns = tables  # a block's first p starts still iterate
     p, n = selectors.shape[:2]
-    rows = np.arange(n)
-    offset = np.arange(p)[:, None, None] * (n * m)
-    bins = (offset + rows[:, None] * m + selectors).ravel()  # flat position of fp[p, i, K[p,i,j]]
-    gather = (offset + rows * m + selectors).ravel()  # flat position of fp[p, j, K[p,i,j]]
-    # 1_pik: does row i anchor column k in start p
-    diag_hot = (selectors[:, rows, rows, None] == np.arange(m)).astype(float)
-    d_diag = dt[rows, rows][:, None]
-    count = np.bincount(gather, minlength=p * n * m).reshape(p, n, m)
-    weights = np.broadcast_to(dt, (p, n, n)).ravel()  # a view of dt when p = 1 and dt is contiguous
-    d_sums = np.bincount(gather, weights=weights, minlength=p * n * m).reshape(p, n, m)
+    size = p * n * len(columns)
+    bins = (row_base[:p] + selectors).ravel()  # flat position of fp[p, i, K[p,i,j]]
+    gather = (col_base[:p] + selectors).ravel()  # flat position of fp[p, j, K[p,i,j]]
+    # 1_pik: does row i anchor column k in start p; K's diagonal is a strided view
+    diag_hot = (selectors.reshape(p, n * n)[:, :: n + 1, None] == columns).astype(float)
+    count = np.bincount(gather, minlength=size).reshape(p, n, -1)
+    d_sums = np.bincount(gather, weights=weights[: p * n * n], minlength=size).reshape(p, n, -1)
     anchored_num = d_diag * diag_hot + (d_sums - diag_hot * d_diag)
     # counts are small integers, so sums are exact; K[p,i,i] = k puts (i,i) in bin (p,i,k): count >= diag_hot
     return bins, gather, diag_hot, anchored_num, count > 0, np.maximum(count + diag_hot, 1.0)
@@ -330,7 +351,7 @@ def jacobi_map(D: TropicalMatrix, F: TropicalMatrix, Fp: TropicalMatrix) -> Trop
         raise ShapeError(f"factor shapes disagree: D {d.shape}, F {f.shape}, Fp {fp.shape}")
     if not (np.isfinite(d).all() and np.isfinite(f).all() and np.isfinite(fp).all()):
         raise DomainError("jacobi_map needs finite inputs")
-    setup = _jacobi_setup(d.T, _sym_product(f[None])[1], f.shape[1])
+    setup = _jacobi_setup(_jacobi_tables(d.T, 1, f.shape[1]), _sym_product(f[None])[1])
     return TropicalMatrix._wrap(_jacobi_apply(setup, fp[None])[0])
 
 
@@ -371,34 +392,34 @@ def _sym_block(d: np.ndarray, f: np.ndarray, cfg: SymFactorConfig):
     records the best residual seen up to each iteration, so it is
     non-increasing by construction.
     """
-    m = f.shape[2]
+    tables = _jacobi_tables(d, len(f), f.shape[2])
     product, selectors = _sym_product(f)
-    best_res, best_f = _frobenius(np.subtract(d, product, out=product)), f.copy()
-    traces = [[r] for r in best_res.tolist()]
-    mu, stall = np.full(len(f), cfg.shoot), np.zeros(len(f), dtype=int)
-    act = np.arange(len(f))  # the starts still iterating
+    best_res = _frobenius(np.subtract(d, product, out=product)).tolist()
+    best_f, traces = list(f), [[r] for r in best_res]  # no f is written in place, so its rows can be kept
+    mu, stall, act = [cfg.shoot] * len(f), [0] * len(f), list(range(len(f)))  # act: the starts still iterating
     for _ in range(cfg.max_iter):
-        go = best_res[act] > SYM_TOL
-        if not go.all():
-            act, f, selectors = act[go], f[go], selectors[go]
-            if not act.size:
+        go = [best_res[k] > SYM_TOL for k in act]
+        if not all(go):
+            act, f, selectors = list(itertools.compress(act, go)), f[go], selectors[go]
+            if not act:
                 break
-        setup = _jacobi_setup(d, selectors, m)
+        setup = _jacobi_setup(tables, selectors)
         fp = f
         for _ in range(cfg.jacobi_steps):
             fp = _jacobi_apply(setup, fp)
-        weight = mu[act, None, None]
+        weight = np.array([mu[k] for k in act])[:, None, None]
         f = weight * fp + (1.0 - weight) * f
         product, selectors = _sym_product(f)
-        res = _frobenius(np.subtract(d, product, out=product))
-        better = res < best_res[act]
-        best_res[act[better]], best_f[act[better]] = res[better], f[better]
-        stall[act] = np.where(better, 0, stall[act] + 1)
-        decay = act[stall[act] >= DECAY_PATIENCE]
-        mu[decay], stall[decay] = np.maximum(mu[decay] * MU_DECAY, MU_FLOOR), 0
-        for k, r in zip(act.tolist(), best_res[act].tolist()):
-            traces[k].append(r)
-    return [(r, fb, fb.T, trace) for r, fb, trace in zip(best_res.tolist(), best_f, traces)]
+        res = _frobenius(np.subtract(d, product, out=product)).tolist()
+        for k, r, row in zip(act, res, f):
+            if r < best_res[k]:
+                best_res[k], best_f[k], stall[k] = r, row, 0
+            else:
+                stall[k] += 1
+                if stall[k] >= DECAY_PATIENCE:
+                    mu[k], stall[k] = max(mu[k] * MU_DECAY, MU_FLOOR), 0
+            traces[k].append(best_res[k])
+    return [(r, fb, fb.T, trace) for r, fb, trace in zip(best_res, best_f, traces)]
 
 
 def _sym_outcomes(d: np.ndarray, starts, cfg: SymFactorConfig):

@@ -44,6 +44,7 @@ from minplus.factorization import (
     _bound_fill,
     _jacobi_apply,
     _jacobi_setup,
+    _jacobi_tables,
     _kmeans_start,
     _row_bounds,
     _sym_product,
@@ -453,24 +454,29 @@ def argmin_selectors(f):
 
 @pytest.mark.parametrize("ties", [True, False])
 def test_column_order_jacobi_matches_row_order_reference(ties):
-    # P > 1 stacks, m = 1 included, each setup table and three chained sweeps bitwise
+    # P > 1 stacks, m = 1 included, each setup table and three chained sweeps bitwise. The fixed
+    # tables are built once for the block and serve it as its starts leave, one at a time, to P = 1
     rng = np.random.default_rng(61 if ties else 62)
     for m in [1, 1, 2, 3, 5, 8]:
-        p, n = int(rng.integers(2, 5)), int(rng.integers(m, 20))
+        p, n = int(rng.integers(3, 5)), int(rng.integers(m, 20))
         d = random_distance_matrix(rng, n) * (1.0 if ties else 0.1 * np.pi)
         if ties:
             f = rng.integers(0, 3, size=(p, n, m)).astype(float)
         else:
             f = rng.normal(scale=3.0, size=(p, n, m))
-        selectors = _sym_product(f)[1]
-        assert np.array_equal(selectors, argmin_selectors(f))
-        got, want = _jacobi_setup(d, selectors, m), ref_jacobi_setup(d, argmin_selectors(f), m)
-        for a, b in zip(got[2:], want[2:]):
-            assert a.tobytes() == b.tobytes()
-        fp_got = fp_want = f + rng.normal(size=f.shape)
-        for _ in range(3):
-            fp_got, fp_want = _jacobi_apply(got, fp_got), ref_jacobi_apply(want, fp_want)
-            assert fp_got.tobytes() == fp_want.tobytes()
+        tables, fp = _jacobi_tables(d, p, m), f + rng.normal(size=f.shape)
+        while len(f):
+            selectors = _sym_product(f)[1]
+            assert np.array_equal(selectors, argmin_selectors(f))
+            got, want = _jacobi_setup(tables, selectors), ref_jacobi_setup(d, argmin_selectors(f), m)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+            fp_got = fp_want = fp
+            for _ in range(3):
+                fp_got, fp_want = _jacobi_apply(got, fp_got), ref_jacobi_apply(want, fp_want)
+                assert fp_got.tobytes() == fp_want.tobytes()
+            keep = np.arange(len(f)) != rng.integers(len(f))  # one start leaves the block
+            f, fp = f[keep], fp[keep]
 
 
 def test_jacobi_map_with_non_symmetric_d_matches_row_order_reference():
@@ -494,7 +500,7 @@ def test_wide_selectors_match_argmin():
     assert np.array_equal(product[0], _mp(f[0], f[0].T))
     d = _mp(f[0], f[0].T) + rng.integers(0, 3, size=(n, n))
     d = np.minimum(d, d.T)
-    setup, ref = _jacobi_setup(d, selectors, m), ref_jacobi_setup(d, selectors.astype(np.intp), m)
+    setup, ref = _jacobi_setup(_jacobi_tables(d, 1, m), selectors), ref_jacobi_setup(d, selectors.astype(np.intp), m)
     assert _jacobi_apply(setup, f).tobytes() == ref_jacobi_apply(ref, f).tobytes()
 
 
@@ -510,6 +516,7 @@ def test_sym_factorize_memory_is_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 16 * n * n * 8  # a few n x n arrays, never n x n x m
+    assert peak < 6.4 * n * n * 8  # the product is folded in row tiles: no product-sized term
 
 
 def test_sym_factorize_block_memory_is_bounded():
@@ -536,7 +543,7 @@ def ref_sym_run(d, f, cfg):
     for _ in range(cfg.max_iter):
         if best_res <= SYM_TOL:
             break
-        setup = _jacobi_setup(d, selectors, m)
+        setup = _jacobi_setup(_jacobi_tables(d, 1, m), selectors)
         fp = f[None]
         for _ in range(cfg.jacobi_steps):
             fp = _jacobi_apply(setup, fp)
