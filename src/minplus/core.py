@@ -20,8 +20,7 @@ INF = float("inf")
 
 CSV_FLOAT_FORMAT = ".17g"
 TILE_ROWS = 64  # rows per tile of each row-tiled pass: write_matrix_csv (its first tile picks the format),
-# is_idempotent, the waypoint scan and large products; one height bounds each pass's scratch at TILE_ROWS x n entries
-_ONE_TILE_ELEMENTS = 2**16  # a product of at most this many entries folds as one tile: tiles were no faster there
+# is_idempotent and the waypoint scan; one height bounds the scratch of every such pass at TILE_ROWS x n entries
 IDEMPOTENT_TOL = 1e-9  # is_idempotent: finite entries of A (x) A and A agree within this
 # kleene_star runs B pivots per pass over D, H rows at a time (B*H*n scratch).
 # B divides H, so a symmetric pivot block lies in one tile and reads no stale entry.
@@ -125,19 +124,14 @@ def _fold(out: np.ndarray, cols: np.ndarray, rows: np.ndarray, term: np.ndarray,
     dtype, as a Python int above 255 would overflow uint8 under numpy 2 promotion.
     """
     better = None if selectors is None else np.empty(out.shape, dtype=bool)
-    left, right = _factors(cols[0], rows[0]) if len(cols) else (None, None)  # an empty k-sum leaves out as is
+    left, right = _factors(cols[:1], rows[:1])
     for k in range(len(cols)):
         left[..., 0], right[..., 1, :] = cols[k], rows[k]
-        _outer_sum(term, left, right)
+        _outer_sum(term, left[0], right[0])
         if better is not None and k:
             np.less(term, out, out=better)
             np.maximum(selectors, better.view(np.uint8) * selectors.dtype.type(k), out=selectors)
         np.minimum(out, term, out=out)
-
-
-def _tile_rows(product: np.ndarray) -> int:
-    """Rows per tile of a product: TILE_ROWS, or all of them while one tile is as fast."""
-    return TILE_ROWS if product.size > _ONE_TILE_ELEMENTS else max(product.shape[-2], 1)
 
 
 def _mirror(a: np.ndarray, rows: int) -> None:
@@ -147,13 +141,10 @@ def _mirror(a: np.ndarray, rows: int) -> None:
 
 
 def _mp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Raw min-plus product of float arrays whose shapes agree, folded by row tiles over the full
-    width with one tile of scratch; an empty k-sum is all inf, the additive identity."""
+    """Raw min-plus product of float arrays whose shapes agree, in two n x m arrays;
+    an empty k-sum is all inf, the additive identity."""
     out = np.full((a.shape[0], b.shape[1]), INF)
-    rows = _tile_rows(out)
-    term = np.empty_like(out[:rows])
-    for top in range(0, len(out), rows):
-        _fold(out[top:top + rows], a[top:top + rows].T, b, term[: len(out) - top])
+    _fold(out, a.T, b, np.empty_like(out))
     return out
 
 

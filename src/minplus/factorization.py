@@ -29,7 +29,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .core import INF, TILE_ROWS, TropicalMatrix, _as_matrix, _data_of, _factors, _fold, _mirror, _mp, _outer_sum
-from .core import _frobenius, _tile_rows, frobenius_distance, is_idempotent
+from .core import _frobenius, frobenius_distance, is_idempotent
 from .errors import INFEASIBLE_HINT, DomainError, ShapeError
 from .regression import RegressionConfig, _chebyshev_shift, _newton_batch
 
@@ -256,33 +256,18 @@ def actual_waypoint_search(
 
 def _sym_product(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F (x) F^T and its selectors K for each start of a (P, n, m) stack,
-    by _fold over the m columns.
+    in one _fold over the m columns.
 
     K[p,i,j] is the smallest column attaining min_k(f_pik + f_pjk), as
     argmin gives it. K is symmetric and of dtype np.min_scalar_type(m - 1),
-    one byte up to m = 256. Past one tile's size, each tile of TILE_ROWS rows
-    folds from its top row rightwards in contiguous scratch, and both lower
-    triangles are mirrored. Scratch memory is O(P*n^2); the P x n x n x m
+    one byte up to m = 256. Scratch memory is O(P*n^2); the P x n x n x m
     pair tensor is never formed.
     """
     p, n, m = f.shape
     cols = np.moveaxis(f, 2, 0)  # (m, P, n): column k of each start, copied into its factors by _fold
     product = np.full((p, n, n), INF)
     selectors = np.zeros(product.shape, dtype=np.min_scalar_type(m - 1))
-    rows = _tile_rows(product)
-    if rows >= n:  # one full-square tile, folded in place
-        _fold(product, cols, cols, np.empty_like(product), selectors)
-        return product, selectors
-    scratch, picks = np.empty((2, p * rows * n)), np.empty(p * rows * n, selectors.dtype)
-    for top in range(0, n, rows):
-        tile = np.s_[:, top:top + rows, top:]
-        shape = product[tile].shape
-        out, term, sel = (x[: math.prod(shape)].reshape(shape) for x in (*scratch, picks))
-        out[...], sel[...] = INF, 0
-        _fold(out, cols[..., top:top + rows], cols[..., top:], term, sel)
-        product[tile], selectors[tile] = out, sel
-    for a in (product, selectors):
-        _mirror(a, rows)
+    _fold(product, cols, cols, np.empty_like(product), selectors)
     return product, selectors
 
 

@@ -256,18 +256,6 @@ def test_kleene_star_matches_full_matrix_reference(n):
     assert raised == 1
 
 
-def test_mp_multiply_memory_is_the_product_and_a_tile():
-    n = 300  # past the one-tile size, so the product is folded TILE_ROWS rows at a time
-    a = TropicalMatrix(random_nonneg_graph_matrix(np.random.default_rng(303), n, density=0.02))
-    tracemalloc.start()
-    try:
-        mp_multiply(a, a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * n * n * 8  # the product and O(TILE_ROWS*n) scratch, not a product-sized term
-
-
 def test_kleene_star_memory_is_one_matrix_and_a_tile():
     n = 300
     rng = np.random.default_rng(301)

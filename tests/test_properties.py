@@ -62,11 +62,6 @@ def test_outer_sum_equals_broadcast_add_byte_for_byte(operands, stale):
     assert out.tobytes() == expected.tobytes()
 
 
-# row counts on both sides of one and two tiles of TILE_ROWS rows
-TILE_EDGES = st.sampled_from([TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS - 1, 2 * TILE_ROWS,
-                              2 * TILE_ROWS + 1, 2 * TILE_ROWS + 2])
-
-
 def seeded_entries(draw, shape):
     """Seeded entries of a shape: small integers (many ties) or reals, with some inf."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -82,55 +77,39 @@ def tied(*shape):
 
 @st.composite
 def product_operands(draw):
-    """Operands drawn entry by entry, up to 6 x 6 x 6, or seeded with a row count
-    at a tile edge; and whether the product folds by tiles however small it is."""
+    """Operands drawn entry by entry, up to 6 x 6 x 6, or seeded with up to 200 rows."""
     if draw(st.booleans()):
         n, k, m = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
-        a, b = draw(arrays(float, (n, k), elements=ENTRIES)), draw(arrays(float, (k, m), elements=ENTRIES))
-    else:
-        n, k, m = draw(TILE_EDGES), draw(st.integers(0, 4)), draw(st.integers(1, 6))
-        a, b = seeded_entries(draw, (n, k)), seeded_entries(draw, (k, m))
-    return a, b, draw(st.booleans())
+        return draw(arrays(float, (n, k), elements=ENTRIES)), draw(arrays(float, (k, m), elements=ENTRIES))
+    n, k, m = draw(st.integers(7, 200)), draw(st.integers(0, 4)), draw(st.integers(1, 6))
+    return seeded_entries(draw, (n, k)), seeded_entries(draw, (k, m))
 
 
 @given(product_operands())
-@example((tied(TILE_ROWS + 1, 3), tied(3, 5), True))
-@example((tied(2 * TILE_ROWS, 2), tied(2, 4), True))
-@example((tied(2 * TILE_ROWS + 1, 4), tied(4, 6), True))
+@example((tied(62, 3), tied(3, 5)))
+@example((tied(120, 4), tied(4, 6)))
 def test_multiply_equals_brute_force(operands):
-    a, b, tiled = operands
-    with mock.patch.object(core, "_ONE_TILE_ELEMENTS", 0 if tiled else core._ONE_TILE_ELEMENTS):
-        got = mp_multiply(TropicalMatrix(a), TropicalMatrix(b)).data
+    a, b = operands
+    got = mp_multiply(TropicalMatrix(a), TropicalMatrix(b)).data
     assert got.tobytes() == brute_force_product(a, b).tobytes()
 
 
 @st.composite
 def sym_stacks(draw):
-    """(P, n, m) stacks drawn entry by entry, up to 3 x 6 x 6, or seeded with n at a
-    tile edge or up to 200, past the one-tile size of P = 2 and 3 (P * n^2 = 2**16);
-    and whether the product folds by tiles however small it is."""
+    """(P, n, m) stacks drawn entry by entry, up to 3 x 6 x 6, or seeded with n up to 200."""
     if draw(st.booleans()):
         shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6)))
-        f = draw(arrays(float, shape, elements=ENTRIES))
-    else:
-        p, n, m = draw(st.integers(1, 3)), draw(TILE_EDGES | st.integers(131, 200)), draw(st.integers(1, 8))
-        f = seeded_entries(draw, (p, n, m))
-    return f, draw(st.booleans())
+        return draw(arrays(float, shape, elements=ENTRIES))
+    return seeded_entries(draw, (draw(st.integers(1, 3)), draw(st.integers(7, 200)), draw(st.integers(1, 8))))
 
 
 @given(sym_stacks())
-@example((tied(1, TILE_ROWS, 3), True))
-@example((tied(2, TILE_ROWS + 1, 5), True))
-@example((tied(3, 2 * TILE_ROWS - 1, 2), True))
-@example((tied(1, 2 * TILE_ROWS + 2, 1), True))
-@example((tied(3, 147, 4), False))  # 3 * 147^2 <= 2**16: one tile
-@example((tied(3, 148, 4), False))  # tiles, the last of 20 rows
-@example((tied(2, 3 * TILE_ROWS + 1, 6), False))  # tiles, the last of one row
-def test_sym_product_equals_broadcast_min_and_argmin(stack):
-    f, tiled = stack
+@example(tied(3, 62, 4))
+@example(tied(2, 120, 8))
+@example(tied(1, 200, 1))
+def test_sym_product_equals_broadcast_min_and_argmin(f):
     pairs = f[:, :, None, :] + f[:, None, :, :]  # (P, n, n, m): f_pik + f_pjk
-    with mock.patch.object(core, "_ONE_TILE_ELEMENTS", 0 if tiled else core._ONE_TILE_ELEMENTS):
-        product, selectors = _sym_product(f)
+    product, selectors = _sym_product(f)
     assert product.tobytes() == pairs.min(axis=3).tobytes()
     assert selectors.dtype == np.min_scalar_type(f.shape[2] - 1)
     assert np.array_equal(selectors, pairs.argmin(axis=3))
