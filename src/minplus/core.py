@@ -295,7 +295,7 @@ def read_matrix_csv(text: str) -> TropicalMatrix:
                 value = float(token) + 0.0  # -0 enters as 0
             except ValueError:
                 raise ParseError(f"line {lineno}: cannot parse entry {token!r}") from None
-            if np.isnan(value) or value == -INF:
+            if not value > -INF:  # NaN fails the comparison too
                 raise ParseError(f"line {lineno}: entry {token!r} is outside the format")
             values.append(value)
         if width is None:

@@ -31,7 +31,7 @@ import numpy as np
 from .core import INF, TILE_ROWS, TropicalMatrix, _as_matrix, _data_of, _factors, _fold, _mirror, _mp, _outer_sum
 from .core import _frobenius, frobenius_distance, is_idempotent
 from .errors import INFEASIBLE_HINT, DomainError, ShapeError
-from .regression import RegressionConfig, _chebyshev_shift, _newton_batch
+from .regression import BATCH_ELEMENTS, RegressionConfig, _chebyshev_shift, _newton_batch
 
 SYM_TOL = 0.0  # symmetric driver: early-exit residual target
 DECAY_PATIENCE = 5  # iterations without improvement before mu decays
@@ -40,9 +40,6 @@ MU_FLOOR = 1e-3  # mu never decays below this
 NONSYM_TOL = 1e-8  # general driver: stop once no factor entry moves this far
 INNER_MAX_ITER = 50  # 2-norm regression steps per row or column sweep
 KMEANS_MAX_ITER = 50  # Lloyd iterations of the kmeans start
-# a block of symmetric starts holds P*n^2 <= max(n^2, this) entries (P = 4 at
-# n = 62); blocks 2-4x larger ran 3-17% faster there, under 10% in most sets
-SYM_BLOCK_ELEMENTS = 2**14
 # drop a candidate whose partial sum of squares exceeds best^2 by this much, far
 # above the rounding gap between tile sums and np.sum: it could neither win nor tie
 PRUNE_MARGIN = 1e-9
@@ -409,9 +406,9 @@ def _sym_block(d: np.ndarray, f: np.ndarray, cfg: SymFactorConfig):
 
 def _sym_outcomes(d: np.ndarray, starts, cfg: SymFactorConfig):
     """Each start's outcome, in order. The starts run in blocks of
-    P*n^2 <= max(n^2, SYM_BLOCK_ELEMENTS) entries, and a block runs only
-    once every outcome before it has been taken."""
-    size = max(d.size, SYM_BLOCK_ELEMENTS) // d.size
+    P*n^2 <= max(n^2, BATCH_ELEMENTS) entries, the Newton engine's budget,
+    and a block runs only once every outcome before it has been taken."""
+    size = max(d.size, BATCH_ELEMENTS) // d.size
     while block := list(itertools.islice(starts, size)):
         yield from _sym_block(d, np.stack(block), cfg)
 
@@ -428,7 +425,7 @@ def sym_factorize(
     combination mu*new + (1-mu)*current. extra_inits supplies additional
     deterministic starting factors, run after the restarts (used by the
     rank-sweep CLI to warm-start from the previous rank). The starts run
-    as one batch, in blocks of P*n^2 <= max(n^2, SYM_BLOCK_ELEMENTS)
+    as one batch, in blocks of P*n^2 <= max(n^2, regression.BATCH_ELEMENTS)
     entries; each start's result is bitwise its one-start result. The best
     iterate over all starts wins; ties keep the earliest start, and no
     block runs once a start has reached SYM_TOL.

@@ -14,7 +14,9 @@ conversions must match byte for byte, and ref_tokenize_gml is the
 character scanner that the GML tokenizer's regular expression replaced.
 ref_jacobi_setup and ref_jacobi_apply are the Jacobi setup and sweep with
 their bincounts in row order, which the column-order kernels must match
-bit for bit. ref_alternate is the general driver's alternation with one
+bit for bit. ref_sym_run and ref_sym_factorize are the symmetric driver
+run one start at a time, which the blocked batch must match byte for
+byte. ref_alternate is the general driver's alternation with one
 batch per half-sweep, which the default alternation's one batch per outer
 iteration must match bit for bit.
 identity, tropical_allclose,
@@ -30,6 +32,16 @@ import numpy as np
 from minplus import INF, DomainError, Graph, NegativeCycleError, ParseError, TropicalMatrix, mp_multiply
 import minplus.factorization as factorization
 from minplus.core import _mp
+from minplus.factorization import (
+    DECAY_PATIENCE,
+    MU_DECAY,
+    MU_FLOOR,
+    SYM_TOL,
+    _jacobi_apply,
+    _jacobi_setup,
+    _jacobi_tables,
+    _sym_product,
+)
 from minplus.regression import RegressionConfig, _newton_batch
 
 ORACLE_MAX_NODES = 7
@@ -257,6 +269,52 @@ def ref_jacobi_apply(setup, fp):
     fp_sums = np.bincount(bins, weights=fp.ravel()[gather], minlength=fp.size).reshape(fp.shape)
     cross = fp_sums - diag_hot * fp
     return np.where(positive, (anchored_num - cross) / denominator, fp)
+
+
+def ref_sym_run(d, f, cfg):
+    """The one-start symmetric loop, each kernel called on a stack of one
+    start: (best residual, best F, trace, number of mu decays)."""
+    m = f.shape[1]
+    product, selectors = _sym_product(f[None])
+    best_res = float(np.sqrt(np.sum((d - product[0]) ** 2)))
+    best_f, trace, mu, stall, decays = f, [best_res], cfg.shoot, 0, 0
+    for _ in range(cfg.max_iter):
+        if best_res <= SYM_TOL:
+            break
+        setup = _jacobi_setup(_jacobi_tables(d, 1, m), selectors)
+        fp = f[None]
+        for _ in range(cfg.jacobi_steps):
+            fp = _jacobi_apply(setup, fp)
+        f = mu * fp[0] + (1.0 - mu) * f
+        product, selectors = _sym_product(f[None])
+        res = float(np.sqrt(np.sum((d - product[0]) ** 2)))
+        if res < best_res:
+            best_res, best_f, stall = res, f, 0
+        else:
+            stall += 1
+            if stall >= DECAY_PATIENCE:
+                mu, stall, decays = max(mu * MU_DECAY, MU_FLOOR), 0, decays + 1
+        trace.append(best_res)
+    return best_res, best_f, trace, decays
+
+
+def ref_sym_factorize(d, cfg, extra_inits=()):
+    """sym_factorize one start at a time: (residual, F, trace, restarts
+    used, mu decays over the starts run)."""
+    n = d.shape[0]
+    starts = [
+        d[:, np.random.default_rng([cfg.seed, r]).choice(n, size=cfg.rank, replace=False)]
+        for r in range(cfg.restarts)
+    ]
+    best, runs, decays = None, 0, 0
+    for f0 in [*starts, *extra_inits]:
+        outcome = ref_sym_run(d, np.array(f0, dtype=float), cfg)
+        runs, decays = runs + 1, decays + outcome[3]
+        if best is None or outcome[0] < best[0]:
+            best = outcome
+        if best[0] <= SYM_TOL:
+            break
+    return best[0], best[1], tuple(best[2]), runs, decays
 
 
 def full_table_newton_targets(a, Y, X, sel, near):

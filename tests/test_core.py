@@ -444,9 +444,21 @@ def test_csv_parse_errors_carry_line_numbers():
 
     with pytest.raises(ParseError, match="line 2"):
         read_matrix_csv("1,2\n3\n")
-    with pytest.raises(ParseError):
-        read_matrix_csv("1,nan\n")
-    with pytest.raises(ParseError):
-        read_matrix_csv("1,-inf\n")
-    with pytest.raises(ParseError):
-        read_matrix_csv("1,abc\n")
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("nan", "entry 'nan' is outside the format"),
+        ("NaN", "entry 'NaN' is outside the format"),
+        (" -inf ", "entry '-inf' is outside the format"),
+        ("-Infinity", "entry '-Infinity' is outside the format"),
+        ("abc", "cannot parse entry 'abc'"),
+    ],
+)
+def test_csv_rejected_entries_name_token_and_line(token, message):
+    from minplus import ParseError
+
+    with pytest.raises(ParseError) as err:
+        read_matrix_csv(f"0,1\n\n1,{token}\n")
+    assert str(err.value) == f"line 3: {message}"

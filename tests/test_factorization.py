@@ -34,12 +34,8 @@ from minplus import (
 import minplus.factorization as factorization
 from minplus.core import _mp
 from minplus.factorization import (
-    DECAY_PATIENCE,
     INNER_MAX_ITER,
-    MU_DECAY,
-    MU_FLOOR,
     PRUNE_MARGIN,
-    SYM_TOL,
     TILE_ROWS,
     _bound_fill,
     _jacobi_apply,
@@ -54,7 +50,7 @@ import minplus.regression as regression
 from minplus.regression import RegressionConfig, _newton_batch
 
 from conftest import EXAMPLE_D, random_nonneg_graph_matrix
-from oracles import ref_alternate, ref_jacobi_apply, ref_jacobi_setup, ref_waypoint_search
+from oracles import ref_alternate, ref_jacobi_apply, ref_jacobi_setup, ref_sym_factorize, ref_waypoint_search
 
 
 @pytest.fixture(scope="module")
@@ -520,63 +516,17 @@ def test_sym_factorize_memory_is_quadratic():
 
 
 def test_sym_factorize_block_memory_is_bounded():
-    n = 50  # 12 restarts run in two blocks of 6 starts
+    n = 50  # 40 restarts run in two blocks, of 26 and 14 starts
     rng = np.random.default_rng(100)
     d = kleene_star(TropicalMatrix(random_nonneg_graph_matrix(rng, n, density=0.1))).data
-    cfg = SymFactorConfig(rank=8, max_iter=1, restarts=12, seed=0)
+    cfg = SymFactorConfig(rank=8, max_iter=1, restarts=40, seed=0)
     tracemalloc.start()
     try:
         sym_factorize(d, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * max(n * n, factorization.SYM_BLOCK_ELEMENTS) * 8  # a few block-sized arrays
-
-
-def ref_sym_run(d, f, cfg):
-    """The one-start symmetric loop, each kernel called on a stack of one
-    start: (best residual, best F, trace, number of mu decays)."""
-    m = f.shape[1]
-    product, selectors = _sym_product(f[None])
-    best_res = float(np.sqrt(np.sum((d - product[0]) ** 2)))
-    best_f, trace, mu, stall, decays = f, [best_res], cfg.shoot, 0, 0
-    for _ in range(cfg.max_iter):
-        if best_res <= SYM_TOL:
-            break
-        setup = _jacobi_setup(_jacobi_tables(d, 1, m), selectors)
-        fp = f[None]
-        for _ in range(cfg.jacobi_steps):
-            fp = _jacobi_apply(setup, fp)
-        f = mu * fp[0] + (1.0 - mu) * f
-        product, selectors = _sym_product(f[None])
-        res = float(np.sqrt(np.sum((d - product[0]) ** 2)))
-        if res < best_res:
-            best_res, best_f, stall = res, f, 0
-        else:
-            stall += 1
-            if stall >= DECAY_PATIENCE:
-                mu, stall, decays = max(mu * MU_DECAY, MU_FLOOR), 0, decays + 1
-        trace.append(best_res)
-    return best_res, best_f, trace, decays
-
-
-def ref_sym_factorize(d, cfg, extra_inits=()):
-    """sym_factorize one start at a time: (residual, F, trace, restarts
-    used, mu decays over the starts run)."""
-    n = d.shape[0]
-    starts = [
-        d[:, np.random.default_rng([cfg.seed, r]).choice(n, size=cfg.rank, replace=False)]
-        for r in range(cfg.restarts)
-    ]
-    best, runs, decays = None, 0, 0
-    for f0 in [*starts, *extra_inits]:
-        outcome = ref_sym_run(d, np.array(f0, dtype=float), cfg)
-        runs, decays = runs + 1, decays + outcome[3]
-        if best is None or outcome[0] < best[0]:
-            best = outcome
-        if best[0] <= SYM_TOL:
-            break
-    return best[0], best[1], tuple(best[2]), runs, decays
+    assert peak < 16 * max(n * n, regression.BATCH_ELEMENTS) * 8  # a few block-sized arrays
 
 
 def sym_batch_cases():
@@ -603,7 +553,7 @@ def test_sym_batch_matches_one_start_path(starts_per_block, monkeypatch):
     decays, outcomes = 0, {}
     for name, d, cfg, extras in sym_batch_cases():
         if starts_per_block is not None:
-            monkeypatch.setattr(factorization, "SYM_BLOCK_ELEMENTS", starts_per_block * d.size)
+            monkeypatch.setattr(factorization, "BATCH_ELEMENTS", starts_per_block * d.size)
         residual, f, trace, runs, case_decays = ref_sym_factorize(d, cfg, extras)
         pair = sym_factorize(d, cfg, extra_inits=extras)
         assert pair.residual == residual, name

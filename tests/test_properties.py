@@ -1,7 +1,8 @@
 """Properties of the min-plus kernels on generated input: every product,
-selector, closure and waypoint search equals an independent oracle bit for
-bit; closures, waypoint products, Chebyshev solutions and rank curves keep
-the paper's invariants; the matrix CSV reader inverts its writer."""
+selector, closure, waypoint search and blocked symmetric factorization
+equals an independent oracle bit for bit; closures, waypoint products,
+Chebyshev solutions and rank curves keep the paper's invariants; the
+matrix CSV reader inverts its writer."""
 
 import math
 import tempfile
@@ -16,15 +17,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from minplus import (
-    INF, NegativeCycleError, TropicalMatrix, actual_waypoint, actual_waypoint_search, chebyshev_regression,
-    is_idempotent, kleene_star, mp_multiply, principal_solution, read_matrix_csv, write_matrix_csv,
+    INF, NegativeCycleError, SymFactorConfig, TropicalMatrix, actual_waypoint, actual_waypoint_search,
+    chebyshev_regression, is_idempotent, kleene_star, mp_multiply, principal_solution, read_matrix_csv,
+    sym_factorize, write_matrix_csv,
 )
 import minplus.core as core
+import minplus.factorization as factorization
 from minplus.cli import main
-from minplus.core import _factors, _outer_sum
+from minplus.core import _factors, _mp, _outer_sum
 from minplus.factorization import TILE_ROWS, _sym_product
 
-from oracles import bellman_ford, ref_kleene_star, ref_waypoint_search, tropical_allclose
+from oracles import bellman_ford, ref_kleene_star, ref_sym_factorize, ref_waypoint_search, tropical_allclose
 from test_core import brute_force_product, ref_write_csv
 
 # small integers tie often; reals round; + 0.0 turns -0.0 into 0.0, so that
@@ -253,6 +256,19 @@ def test_kleene_star_equals_scipy_floyd_warshall(a):
         assert kleene_star(TropicalMatrix(a)).data.tobytes() == expected.tobytes()
 
 
+def connected_graph(rng, n, kind):
+    """A one-hop matrix of a connected undirected graph on n nodes, with
+    integer weights 1..3 (they tie often), or those times 0.1*pi when kind
+    is "scaled" (sums round)."""
+    a = rng.integers(1, 4, size=(n, n)).astype(float)
+    a[rng.random((n, n)) < 0.7] = INF
+    order = rng.permutation(n)
+    a[order[:-1], order[1:]] = 1.0  # a spanning path keeps every distance finite
+    a = np.minimum(a, a.T) * (0.1 * math.pi if kind == "scaled" else 1.0)
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
 @st.composite
 def waypoint_inputs(draw):
     """A symmetric matrix, its kind and a waypoint rank. The kinds: the
@@ -266,13 +282,7 @@ def waypoint_inputs(draw):
     if kind == "signed":
         a = rng.integers(-3, 6, size=(n, n)).astype(float)
         return a + a.T, kind, m
-    a = rng.integers(1, 4, size=(n, n)).astype(float)
-    a[rng.random((n, n)) < 0.7] = INF
-    order = rng.permutation(n)
-    a[order[:-1], order[1:]] = 1.0  # a spanning path keeps every distance finite
-    a = np.minimum(a, a.T) * (0.1 * math.pi if kind == "scaled" else 1.0)
-    np.fill_diagonal(a, 0.0)
-    return kleene_star(TropicalMatrix(a)), kind, m
+    return kleene_star(TropicalMatrix(connected_graph(rng, n, kind))), kind, m
 
 
 @given(waypoint_inputs(), st.integers(0, 3), st.integers(1, 40), st.booleans())
@@ -305,6 +315,44 @@ def test_waypoint_product_dominates_closure_and_is_exact_on_waypoint_rows(inputs
     slack = 0.0 if kind == "integer" else 1e-13 * d.data.max()
     assert (product >= d.data - slack).all()
     assert (np.abs(product[w] - d.data[w]) <= slack).all()
+
+
+@st.composite
+def sym_runs(draw):
+    """A symmetric matrix on up to 12 nodes, a config of up to 6 restarts,
+    maybe one extra start, and a block of 1 to all the starts. The matrix
+    is the closure of a connected_graph, or F (x) F^T for an integer F,
+    which starts can reach at residual 0. At rank n a closure's restarts
+    start at residual 0."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind, m = draw(st.sampled_from(["integer", "scaled", "exact"])), draw(st.integers(1, n))
+    if kind == "exact":
+        f = rng.integers(0, 5, size=(n, m)).astype(float)
+        d = _mp(f, f.T)
+    else:
+        d = ref_kleene_star(connected_graph(rng, n, kind))
+    cfg = SymFactorConfig(rank=m, shoot=draw(st.sampled_from([0.5, 1.0])), max_iter=draw(st.integers(1, 40)),
+                          restarts=draw(st.integers(1, 6)), seed=draw(st.integers(0, 3)))
+    extras = (rng.integers(0, 9, size=(n, m)).astype(float),) if draw(st.booleans()) else ()
+    return d, cfg, extras, draw(st.integers(1, cfg.restarts + len(extras)))
+
+
+@given(sym_runs())
+def test_blocked_sym_factorize_equals_one_start_at_a_time(run):
+    d, cfg, extras, per_block = run
+    residual, f, trace, runs, decays = ref_sym_factorize(d, cfg, extras)
+    event("residual 0" if residual == 0.0 else "residual > 0")
+    event("0 after iterations" if trace[0] > 0.0 and trace[-1] == 0.0 else "0 at once or never")
+    event("mu decayed" if decays else "mu never decayed")
+    event("one block" if per_block >= runs else "several blocks")
+    with warnings.catch_warnings(), mock.patch.object(factorization, "BATCH_ELEMENTS", per_block * d.size):
+        warnings.filterwarnings("ignore", "input is not idempotent")
+        pair = sym_factorize(d, cfg, extra_inits=extras)
+    assert pair.residual.hex() == residual.hex()
+    assert pair.left.data.tobytes() == f.tobytes()
+    assert pair.iteration_trace == trace
+    assert pair.restarts_used == runs
 
 
 # -0.0, subnormals and magnitudes near the float range, and +inf
