@@ -358,6 +358,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="replace infinite entries with this value before optimizing",
     )
+    sym = argparse.ArgumentParser(add_help=False)  # factor and residual-curve share these
+    sym.add_argument("--t", type=_positive_int, default=5, help="Jacobi sweeps per step (sym)")
+    sym.add_argument("--mu", type=_unit_fraction, default=0.5, help="undershooting weight (sym)")
 
     p = sub.add_parser("spd", parents=[common, graph_input], help="all-pairs shortest-path matrix")
     p.add_argument("--out", default="spd.csv")
@@ -374,12 +377,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_regress)
 
     p = sub.add_parser(
-        "factor", parents=[common, graph_input, cap], help="min-plus low-rank factorization"
+        "factor", parents=[common, graph_input, cap, sym], help="min-plus low-rank factorization"
     )
     p.add_argument("--rank", type=_positive_int, required=True)
     p.add_argument("--mode", choices=["sym", "general", "actual"], default="sym")
-    p.add_argument("--t", type=_positive_int, default=5, help="Jacobi sweeps per step (sym)")
-    p.add_argument("--mu", type=_unit_fraction, default=0.5, help="undershooting weight (sym)")
     p.add_argument("--restarts", type=_positive_int, default=100)
     p.add_argument("--max-iter", type=_positive_int, default=100)
     p.add_argument("--budget", type=_positive_int, default=10000, help="subset budget (actual)")
@@ -398,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "residual-curve",
-        parents=[common, graph_input, cap],
+        parents=[common, graph_input, cap, sym],
         help="relative residual for every rank",
     )
     p.add_argument(
@@ -406,8 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["minplus-sym", "minplus-general", "svd", "nnmf"],
         required=True,
     )
-    p.add_argument("--t", type=_positive_int, default=5)
-    p.add_argument("--mu", type=_unit_fraction, default=0.5)
     p.add_argument("--restarts", type=_positive_int, default=10)
     p.add_argument("--max-iter", type=_positive_int, default=100)
     p.add_argument("--iters", type=_positive_int, default=500, help="nnmf iterations per rank")

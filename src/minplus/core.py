@@ -114,21 +114,22 @@ def _outer_sum(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarr
 
 
 def _fold(out: np.ndarray, cols: np.ndarray, rows: np.ndarray, term: np.ndarray, selectors=None) -> None:
-    """The min-plus product: out[..., i, j] = min(out, min_k cols[k, ..., i] + rows[k, ..., j]).
+    """The min-plus product over k >= 1: out[..., i, j] = min_k cols[k, ..., i] + rows[k, ..., j].
 
-    Each rank-one sum is one _outer_sum, from one k's factors refilled in place, into the scratch
-    term, the shape of out, folded in with np.minimum: nothing has a k axis. min is exact and
-    order-free, so out equals the broadcast formula bit for bit. With out all inf and selectors all
-    0, selectors gets the smallest attaining k: a strictly smaller sum raises it to k, and every
-    earlier selector is below k, so ties keep the earlier k, as argmin does. k takes the selectors'
-    dtype, as a Python int above 255 would overflow uint8 under numpy 2 promotion.
+    out is only written. k = 0's rank-one sum goes into it as one _outer_sum; each later one, from its
+    k's factors refilled in place, into the scratch term, the shape of out, folded in with np.minimum:
+    nothing has a k axis. min is exact and order-free, so out equals the broadcast formula bit for bit.
+    With selectors all 0, selectors gets the smallest attaining k: a strictly smaller sum raises it to
+    k, and every earlier selector is below k, so ties keep the earlier k, as argmin does. k takes the
+    selectors' dtype, as a Python int above 255 would overflow uint8 under numpy 2 promotion.
     """
     better = None if selectors is None else np.empty(out.shape, dtype=bool)
-    left, right = _factors(cols[:1], rows[:1])
-    for k in range(len(cols)):
+    left, right = _factors(cols[0], rows[0])
+    _outer_sum(out, left, right)
+    for k in range(1, len(cols)):
         left[..., 0], right[..., 1, :] = cols[k], rows[k]
-        _outer_sum(term, left[0], right[0])
-        if better is not None and k:
+        _outer_sum(term, left, right)
+        if better is not None:
             np.less(term, out, out=better)
             np.maximum(selectors, better.view(np.uint8) * selectors.dtype.type(k), out=selectors)
         np.minimum(out, term, out=out)
@@ -141,9 +142,11 @@ def _mirror(a: np.ndarray, rows: int) -> None:
 
 
 def _mp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Raw min-plus product of float arrays whose shapes agree, in two n x m arrays;
-    an empty k-sum is all inf, the additive identity."""
-    out = np.full((a.shape[0], b.shape[1]), INF)
+    """Raw min-plus product of float arrays whose shapes agree, in two n x m arrays, neither
+    filled before _fold writes it; an empty k-sum is all inf, the additive identity."""
+    if not a.shape[1]:
+        return np.full((a.shape[0], b.shape[1]), INF)
+    out = np.empty((a.shape[0], b.shape[1]))
     _fold(out, a.T, b, np.empty_like(out))
     return out
 

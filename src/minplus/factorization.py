@@ -28,7 +28,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .core import INF, TILE_ROWS, TropicalMatrix, _as_matrix, _data_of, _factors, _fold, _mirror, _mp, _outer_sum
+from .core import TILE_ROWS, TropicalMatrix, _as_matrix, _data_of, _factors, _fold, _mirror, _mp, _outer_sum
 from .core import _frobenius, frobenius_distance, is_idempotent
 from .errors import INFEASIBLE_HINT, DomainError, ShapeError
 from .regression import BATCH_ELEMENTS, RegressionConfig, _chebyshev_shift, _newton_batch
@@ -167,7 +167,6 @@ def _tile_sums(d: np.ndarray, buf: np.ndarray, fill):
 
 def _residual_fill(wrows: np.ndarray, scratch: np.ndarray, kept: np.ndarray, tile, rows, top) -> None:
     """The tile of D(:,W) (x) D(:,W)^T - D, folded over the waypoint rows wrows = D(W,:), also put in kept."""
-    tile.fill(INF)
     _fold(tile, wrows[:, top:top + len(rows)], wrows[:, top:], scratch[: tile.size].reshape(tile.shape))
     np.subtract(tile, rows, out=tile)
     kept[top:top + len(rows), top:] = tile
@@ -252,8 +251,8 @@ def actual_waypoint_search(
 
 
 def _sym_product(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F (x) F^T and its selectors K for each start of a (P, n, m) stack,
-    in one _fold over the m columns.
+    """F (x) F^T and its selectors K for each start of a (P, n, m) stack, m >= 1,
+    in one _fold over the m columns into a product nothing fills first.
 
     K[p,i,j] is the smallest column attaining min_k(f_pik + f_pjk), as
     argmin gives it. K is symmetric and of dtype np.min_scalar_type(m - 1),
@@ -262,7 +261,7 @@ def _sym_product(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     p, n, m = f.shape
     cols = np.moveaxis(f, 2, 0)  # (m, P, n): column k of each start, copied into its factors by _fold
-    product = np.full((p, n, n), INF)
+    product = np.empty((p, n, n))
     selectors = np.zeros(product.shape, dtype=np.min_scalar_type(m - 1))
     _fold(product, cols, cols, np.empty_like(product), selectors)
     return product, selectors
@@ -291,14 +290,14 @@ def _jacobi_setup(tables, selectors: np.ndarray):
     P = 1 one. The setup and each sweep need O(P*n^2) memory and work.
     """
     row_base, col_base, weights, d_diag, columns = tables  # a block's first p starts still iterate
-    p, n = selectors.shape[:2]
-    size = p * n * len(columns)
+    (p, n), m = selectors.shape[:2], len(columns)
+    size = p * n * m
     bins = (row_base[:p] + selectors).ravel()  # flat position of fp[p, i, K[p,i,j]]
     gather = (col_base[:p] + selectors).ravel()  # flat position of fp[p, j, K[p,i,j]]
     # 1_pik: does row i anchor column k in start p; K's diagonal is a strided view
     diag_hot = (selectors.reshape(p, n * n)[:, :: n + 1, None] == columns).astype(float)
-    count = np.bincount(gather, minlength=size).reshape(p, n, -1)
-    d_sums = np.bincount(gather, weights=weights[: p * n * n], minlength=size).reshape(p, n, -1)
+    count = np.bincount(gather, minlength=size).reshape(p, n, m)
+    d_sums = np.bincount(gather, weights=weights[: p * n * n], minlength=size).reshape(p, n, m)
     anchored_num = d_diag * diag_hot + (d_sums - diag_hot * d_diag)
     # counts are small integers, so sums are exact; K[p,i,i] = k puts (i,i) in bin (p,i,k): count >= diag_hot
     return bins, gather, diag_hot, anchored_num, count > 0, np.maximum(count + diag_hot, 1.0)
@@ -331,6 +330,8 @@ def jacobi_map(D: TropicalMatrix, F: TropicalMatrix, Fp: TropicalMatrix) -> Trop
         raise ShapeError(f"expected a square matrix, got {d.shape}")
     if f.shape != fp.shape or f.shape[0] != d.shape[0]:
         raise ShapeError(f"factor shapes disagree: D {d.shape}, F {f.shape}, Fp {fp.shape}")
+    if not f.shape[1]:
+        raise ShapeError(f"F and Fp have no columns: F {f.shape}; the rank must be at least 1")
     if not (np.isfinite(d).all() and np.isfinite(f).all() and np.isfinite(fp).all()):
         raise DomainError("jacobi_map needs finite inputs")
     setup = _jacobi_setup(_jacobi_tables(d.T, 1, f.shape[1]), _sym_product(f[None])[1])

@@ -217,10 +217,10 @@ def _exact_line_search(
 
 
 def _newton_batch(a: np.ndarray, Y, X0: np.ndarray, cfg: RegressionConfig):
-    """newton_directed_line_search for the p problems (Y[k], X0[k]) against
-    one design a (n, d), unvalidated: solutions, iterations, converged,
-    traces. A stack a (g, n, d) takes a sequence Y of g tables, design j's
-    problems being the rows of Y[j]; X0 holds them in that order.
+    """newton_directed_line_search for the p problems (Y[k], X0[k]) against one design
+    a (n, d), unvalidated: solutions, converged flags and traces (steps: len(trace) - 1).
+    A stack a (g, n, d) takes a sequence Y of g tables, design j's problems being the
+    rows of Y[j]; X0 holds them in that order.
 
     A block holds p*n*d <= max(BATCH_ELEMENTS, one design's Y[j].size)
     table entries, so a stack runs in blocks of one design's budget, which
@@ -237,7 +237,7 @@ def _newton_batch(a: np.ndarray, Y, X0: np.ndarray, cfg: RegressionConfig):
     offsets, design = np.cumsum([0, *sizes]), np.repeat(np.arange(len(Y)), sizes)
     p, step = sum(sizes), max(1, max(BATCH_ELEMENTS, *(y.size for y in Y)) // max(n * d, 1))
     X = np.array(X0, dtype=float)
-    iterations, converged = np.zeros(p, dtype=int), np.zeros(p, dtype=bool)
+    converged = np.zeros(p, dtype=bool)
     traces: list[list[float]] = [[] for _ in range(p)]
     for first in range(0, p, step):
         act = np.arange(first, min(first + step, p))
@@ -275,8 +275,7 @@ def _newton_batch(a: np.ndarray, Y, X0: np.ndarray, cfg: RegressionConfig):
                 values, y, sel, tied = values[:, go], y[go], sel[go], tied[go]
             lam = _exact_line_search(values, y, slopes, sel, tied)
             X[act] = x + lam[:, None] * slopes
-            iterations[act] += 1
-    return X, iterations, converged, traces
+    return X, converged, traces
 
 
 def newton_directed_line_search(
@@ -303,5 +302,5 @@ def newton_directed_line_search(
             raise ShapeError(f"x0 length {x.shape} does not match {a.shape[1]} columns")
         if not np.isfinite(x).all():
             raise DomainError("x0 must be finite")
-    (x,), (iterations,), (converged,), (trace,) = _newton_batch(a, y[None], x[None], cfg)
-    return RegressionOutcome(x, trace[-1], "2", int(iterations), bool(converged), tuple(trace))
+    (x,), (converged,), (trace,) = _newton_batch(a, y[None], x[None], cfg)
+    return RegressionOutcome(x, trace[-1], "2", len(trace) - 1, bool(converged), tuple(trace))

@@ -6,7 +6,8 @@ through a given power; ref_kleene_star is the full-matrix Floyd-Warshall
 loop that the blocked kleene_star must match bit for bit, bellman_ford
 finds negative cycles and distances by another algorithm, and
 ref_waypoint_search is the waypoint search that scores every candidate in
-full, in sample order, which the pruned search must match. The full_table_*
+full, in sample order, each product a broadcast min rather than the
+package's min-plus kernel, which the pruned search must match. The full_table_*
 functions are the 2-norm engine's Newton targets and envelope walk as
 they were before they skipped untied and unmoving rows. The
 ref_graph_to_* functions are the edge-at-a-time loops that the array
@@ -31,7 +32,6 @@ import numpy as np
 
 from minplus import INF, DomainError, Graph, NegativeCycleError, ParseError, TropicalMatrix, mp_multiply
 import minplus.factorization as factorization
-from minplus.core import _mp
 from minplus.factorization import (
     DECAY_PATIENCE,
     MU_DECAY,
@@ -236,7 +236,8 @@ def ref_waypoint_search(d, m, budget, seed):
     best_w, best_left, best_res = None, None, np.inf
     for w in candidates:
         left = d[:, list(w)]
-        res = float(np.sqrt(np.sum((d - _mp(left, left.T)) ** 2)))
+        product = (left[:, None, :] + left[None, :, :]).min(axis=2)
+        res = float(np.sqrt(np.sum((d - product) ** 2)))
         if res < best_res or (res == best_res and (best_w is None or tuple(w) < best_w)):
             best_w, best_left, best_res = tuple(w), left, res
     return best_w, best_left, best_res

@@ -469,6 +469,15 @@ def test_residual_curve_max_rank_flag(edges_file, tmp_path):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("argv", [["factor", "--rank", "2"], ["residual-curve", "--method", "minplus-sym"]])
+def test_sym_step_flags_carry_help_and_defaults_on_both_commands(argv, capsys):
+    assert main([argv[0], "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--t T Jacobi sweeps per step (sym)" in text and "--mu MU undershooting weight (sym)" in text
+    args = cli._build_parser().parse_args([*argv, "--input", "graph.edges"])
+    assert (args.t, args.mu) == (5, 0.5)
+
+
 def test_assign_from_reference_factor(tmp_path):
     record = {
         "mode": "sym",

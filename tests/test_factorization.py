@@ -401,6 +401,28 @@ def test_jacobi_map_copies_unselected_columns():
     assert np.array_equal(out.data[:, 1], fp[:, 1])
 
 
+@pytest.mark.parametrize("d, f, fp, error, message", [
+    (np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((2, 1)), ShapeError, "square"),
+    (np.zeros((3, 3)), np.zeros((3, 2)), np.zeros((3, 1)), ShapeError, "disagree"),
+    (np.zeros((3, 3)), np.zeros((2, 1)), np.zeros((2, 1)), ShapeError, "disagree"),
+    (np.zeros((3, 3)), np.zeros((3, 0)), np.zeros((3, 0)), ShapeError, "no columns"),
+    (np.zeros((1, 1)), np.zeros((1, 0)), np.zeros((1, 0)), ShapeError, "no columns"),
+    (np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)), ShapeError, "no columns"),
+    (np.full((2, 2), INF), np.zeros((2, 1)), np.zeros((2, 1)), DomainError, "finite"),
+    (np.zeros((2, 2)), np.array([[0.0], [INF]]), np.zeros((2, 1)), DomainError, "finite"),
+    (np.zeros((2, 2)), np.zeros((2, 1)), np.array([[INF], [0.0]]), DomainError, "finite"),
+])
+def test_jacobi_map_rejects_each_bad_input(d, f, fp, error, message):
+    # a zero-column F is caught before numpy, whose reshape (n = 3) or indexing (n = 1) would fail on it
+    with pytest.raises(error, match=message):
+        jacobi_map(d, f, fp)
+
+
+def test_jacobi_map_of_an_empty_matrix_is_empty():
+    # the sweep's reshapes name the column count, which no entry of an empty matrix can imply
+    assert jacobi_map(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 2)
+
+
 def einsum_jacobi_sweep(d, f, fp):
     """Reference sweep: one-hot n x n x m selector tensor contracted by einsum."""
     n, m = f.shape

@@ -119,6 +119,28 @@ def test_sym_product_equals_broadcast_min_and_argmin(f):
 
 
 @st.composite
+def fold_operands(draw):
+    """k >= 1 columns (k, ..., h) and rows (k, ..., w) under up to two leading axes."""
+    k, lead = draw(st.integers(1, 5)), tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    h, w = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return draw(arrays(float, (k, *lead, h), elements=ENTRIES)), draw(arrays(float, (k, *lead, w), elements=ENTRIES))
+
+
+@given(fold_operands())
+@example((tied(4, 2, 30), tied(4, 2, 40)))
+@example((tied(1, 3), tied(1, 2)))
+def test_fold_never_reads_its_output(operands):
+    # out and term start as NaN, which any read would carry into the result
+    cols, rows = operands
+    sums = cols[..., :, None] + rows[..., None, :]  # (k, ..., h, w)
+    out, term = np.full(sums.shape[1:], np.nan), np.full(sums.shape[1:], np.nan)
+    selectors = np.zeros(out.shape, dtype=np.min_scalar_type(len(cols) - 1))
+    core._fold(out, cols, rows, term, selectors)
+    assert out.tobytes() == sums.min(axis=0).tobytes()
+    assert np.array_equal(selectors, sums.argmin(axis=0))
+
+
+@st.composite
 def nonneg_graphs(draw):
     """A one-hop matrix on up to 40 nodes (three 16-row closure tiles):
     integer or real weights >= 0, directed or undirected, and cut into two

@@ -744,7 +744,8 @@ def test_newton_batch_matches_one_problem_path(block, monkeypatch):
         keep = rng.integers(0, d, size=n)
         a[(rng.random(size=a.shape) < 0.25) & (np.arange(d) != keep[:, None])] = INF
         cfg = RegressionConfig(max_iter=(1, 2, 500)[trial % 3], tol=float(rng.choice([0.0, 1e-10, 1e-3])))
-        X, iterations, converged, traces = reg._newton_batch(a, Y, X0, cfg)
+        X, converged, traces = reg._newton_batch(a, Y, X0, cfg)
+        iterations = np.array([len(trace) - 1 for trace in traces])
         for k in range(p):
             one = newton_directed_line_search(TropicalMatrix(a), Y[k], x0=X0[k], cfg=cfg)
             assert X[k].tobytes() == one.solution.tobytes()
@@ -781,7 +782,8 @@ def test_newton_batch_design_stack_matches_one_problem_path(block, monkeypatch):
         keep = rng.integers(0, d, size=(g, n))
         a[(rng.random(size=a.shape) < 0.25) & (np.arange(d) != keep[..., None])] = INF
         cfg = RegressionConfig(max_iter=(1, 2, 500)[trial % 3], tol=float(rng.choice([0.0, 1e-10, 1e-3])))
-        X, iterations, converged, traces = reg._newton_batch(a, tuple(Ys), X0, cfg)
+        X, converged, traces = reg._newton_batch(a, tuple(Ys), X0, cfg)
+        iterations = np.array([len(trace) - 1 for trace in traces])
         offsets = np.cumsum([0, *sizes])
         for j in range(g):
             for k in range(sizes[j]):
