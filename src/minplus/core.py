@@ -114,7 +114,7 @@ def _outer_sum(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarr
 
 
 def _fold(out: np.ndarray, cols: np.ndarray, rows: np.ndarray, term: np.ndarray, selectors=None) -> None:
-    """The min-plus product over k >= 1: out[..., i, j] = min_k cols[k, ..., i] + rows[k, ..., j].
+    """The min-plus product out[..., i, j] = min_k cols[k, ..., i] + rows[k, ..., j], len(cols) >= 1.
 
     out is only written. k = 0's rank-one sum goes into it as one _outer_sum; each later one, from its
     k's factors refilled in place, into the scratch term, the shape of out, folded in with np.minimum:
