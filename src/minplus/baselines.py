@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _frobenius
+from .core import _as_matrix, _data_of, _frobenius
 from .errors import INFEASIBLE_HINT, DomainError
 
 NNMF_EPS = 1e-12
@@ -41,9 +41,7 @@ class NnmfResult:
 
 def svd(M) -> SvdResult:
     """Full economy SVD through LAPACK (numpy.linalg.svd)."""
-    m_mat = np.asarray(M, dtype=float)
-    if m_mat.ndim != 2:
-        raise DomainError("svd expects a 2-d matrix")
+    m_mat = _data_of(M)
     if not np.isfinite(m_mat).all():
         raise DomainError(f"svd expects finite entries; {INFEASIBLE_HINT}")
     u, s, vt = np.linalg.svd(m_mat, full_matrices=False)
@@ -65,14 +63,14 @@ def _relative(M, residuals):
 def svd_truncate(M, m: int) -> tuple[np.ndarray, float]:
     """Best Frobenius rank-m approximation and its relative residual: the
     dropped singular values' root sum of squares over ||M||_F, 0 for a zero M."""
-    m_mat = np.asarray(M, dtype=float)
-    r = min(m_mat.shape)
+    matrix = _as_matrix(M)
+    r = min(matrix.shape)
     if not (1 <= m <= r):
         raise ValueError(f"rank must lie in 1..{r}")
-    result = svd(m_mat)
+    result = svd(matrix)
     u, s, v = result.left_vectors, result.singular_values, result.right_vectors
     approx = (u[:, :m] * s[:m]) @ v[:, :m].T
-    return approx, float(_relative(m_mat, _dropped(s)[m]))
+    return approx, float(_relative(matrix.data, _dropped(s)[m]))
 
 
 def nnmf(M, m: int, iters: int = 2000, seed: int = 0) -> NnmfResult:
@@ -82,9 +80,7 @@ def nnmf(M, m: int, iters: int = 2000, seed: int = 0) -> NnmfResult:
     entries at or above NNMF_EPS so zeros cannot absorb. The residual
     trace (initial value included) is non-increasing.
     """
-    m_mat = np.asarray(M, dtype=float)
-    if m_mat.ndim != 2:
-        raise DomainError("nnmf expects a 2-d matrix")
+    m_mat = _data_of(M)
     if not np.isfinite(m_mat).all():
         raise DomainError(f"nnmf expects finite entries; {INFEASIBLE_HINT}")
     if (m_mat < 0).any():

@@ -31,7 +31,7 @@ from .core import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from .errors import INFEASIBLE_HINT, DomainError, MinPlusError, ParseError, ShapeError
+from .errors import DomainError, MinPlusError, ParseError, ShapeError
 from .factorization import (
     NonsymFactorConfig,
     SymFactorConfig,
@@ -229,14 +229,14 @@ def _baseline_matrix(args) -> TropicalMatrix:
 
 
 def _cmd_baseline(args, out_dir: Path):
-    data = _baseline_matrix(args).data
-    if args.rank > min(data.shape):
-        raise UsageError(f"--rank {args.rank} exceeds the input size {min(data.shape)}")
+    matrix = _baseline_matrix(args)
+    if args.rank > min(matrix.shape):
+        raise UsageError(f"--rank {args.rank} exceeds the input size {min(matrix.shape)}")
     if args.method == "svd":
-        approx, rel = svd_truncate(data, args.rank)
+        approx, rel = svd_truncate(matrix, args.rank)
         out_path = _write(out_dir / args.out, write_matrix_csv(approx))
         return [out_path], {"relative_residual": rel}
-    result = nnmf(data, args.rank, iters=args.iters, seed=args.seed)
+    result = nnmf(matrix, args.rank, iters=args.iters, seed=args.seed)
     final = result.residual_trace[-1]
     stem = Path(args.out).stem
     outputs = [
@@ -247,7 +247,7 @@ def _cmd_baseline(args, out_dir: Path):
             "".join(f"{v:.17g}\n" for v in result.residual_trace),
         ),
     ]
-    return outputs, {"residual": final, "relative_residual": float(_relative(data, final))}
+    return outputs, {"residual": final, "relative_residual": float(_relative(matrix.data, final))}
 
 
 def _pad_rank_init(prev_left: np.ndarray) -> np.ndarray:
@@ -266,17 +266,14 @@ def _pad_rank_init(prev_left: np.ndarray) -> np.ndarray:
 
 def _cmd_residual_curve(args, out_dir: Path):
     matrix = _baseline_matrix(args)
-    data = matrix.data
-    if not np.isfinite(data).all():
-        raise DomainError(f"residual curves need a finite matrix; {INFEASIBLE_HINT}")
-    max_rank = min(data.shape)
+    max_rank = min(matrix.shape)
     if args.max_rank is not None:
         max_rank = min(max_rank, args.max_rank)
     ranks = range(1, max_rank + 1)
     if args.method == "svd":
-        residuals = _dropped(svd(data).singular_values)[1:max_rank + 1]
+        residuals = _dropped(svd(matrix).singular_values)[1:max_rank + 1]
     elif args.method == "nnmf":
-        residuals = [nnmf(data, m, iters=args.iters, seed=args.seed).residual_trace[-1] for m in ranks]
+        residuals = [nnmf(matrix, m, iters=args.iters, seed=args.seed).residual_trace[-1] for m in ranks]
     else:  # minplus-sym or minplus-general: each rank also starts from the last rank's pair
         residuals, pair = [], None
         for m in ranks:
@@ -289,7 +286,7 @@ def _cmd_residual_curve(args, out_dir: Path):
                 )
                 pair = nonsym_factorize(matrix, m, _nonsym_config(args), extra_inits=extra)
             residuals.append(pair.residual)
-    relative = _relative(data, residuals).tolist()
+    relative = _relative(matrix.data, residuals).tolist()
     if not np.isfinite(relative).all():
         raise DomainError("residual curve is not finite; use a smaller --cap")
     body = "rank,relative_residual\n" + "".join(f"{m},{v:.17g}\n" for m, v in zip(ranks, relative))

@@ -42,12 +42,13 @@ class RegressionOutcome:
     residual_trace: tuple[float, ...] = field(default=())
 
 
-def _check_rhs(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _check_rhs(a: np.ndarray, y, what: str = "rhs", axis: int = 0) -> np.ndarray:
+    """y as a finite float vector, one entry per row (axis 0) or column (axis 1) of a."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (a.shape[0],):
-        raise ShapeError(f"rhs length {y.shape} does not match {a.shape[0]} rows")
+    if y.shape != (a.shape[axis],):
+        raise ShapeError(f"{what} length {y.shape} does not match {a.shape[axis]} {('rows', 'columns')[axis]}")
     if not np.isfinite(y).all():
-        raise DomainError("rhs must be finite")
+        raise DomainError(f"{what} must be finite")
     return y
 
 
@@ -297,10 +298,6 @@ def newton_directed_line_search(
     if x0 is None:
         x = _chebyshev_shift(a, y, _principal_solution(a, y))
     else:
-        x = np.asarray(x0, dtype=float).copy()
-        if x.shape != (a.shape[1],):
-            raise ShapeError(f"x0 length {x.shape} does not match {a.shape[1]} columns")
-        if not np.isfinite(x).all():
-            raise DomainError("x0 must be finite")
+        x = _check_rhs(a, x0, "x0", axis=1)
     (x,), (converged,), (trace,) = _newton_batch(a, y[None], x[None], cfg)
     return RegressionOutcome(x, trace[-1], "2", len(trace) - 1, bool(converged), tuple(trace))

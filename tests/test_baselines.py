@@ -8,9 +8,16 @@ truncation) rather than an independent algorithm.
 import numpy as np
 import pytest
 
-from minplus import DomainError, nnmf, svd, svd_truncate
+from minplus import DomainError, ShapeError, nnmf, svd, svd_truncate
 from minplus.baselines import _relative
 from minplus.core import _frobenius
+
+
+BASELINES = {
+    "svd": svd,
+    "svd_truncate": lambda m: svd_truncate(m, 1),
+    "nnmf": lambda m: nnmf(m, 1, iters=5),
+}
 
 
 def random_shapes(rng, count):
@@ -162,3 +169,24 @@ def test_nnmf_input_validation():
         nnmf(np.abs(np.ones((2, 2))), 3)
     with pytest.raises(ValueError):
         nnmf(np.abs(np.ones((2, 2))), 0)
+
+
+@pytest.mark.parametrize("name", sorted(BASELINES))
+@pytest.mark.parametrize("entries", [3.0, [1.0, 2.0], np.ones((1, 2, 2))])
+def test_baselines_reject_non_matrices_like_every_routine(name, entries):
+    with pytest.raises(ShapeError, match="2-d table"):
+        BASELINES[name](entries)
+
+
+@pytest.mark.parametrize("name", sorted(BASELINES))
+@pytest.mark.parametrize("value, word", [(np.nan, "NaN"), (-np.inf, "-inf")])
+def test_baselines_name_unrepresentable_entries_without_cap_hint(name, value, word):
+    with pytest.raises(DomainError, match=word) as info:
+        BASELINES[name]([[1.0, value], [0.0, 1.0]])
+    assert "--cap" not in str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(BASELINES))
+def test_baselines_infinite_entry_names_cap(name):
+    with pytest.raises(DomainError, match="--cap"):
+        BASELINES[name]([[1.0, np.inf], [0.0, 1.0]])

@@ -798,6 +798,8 @@ EXIT_INPUTS = {
     "y.csv": "0\n1\n",
     "short.csv": "0\n",
     "factors.json": '{"left": [[1, 2]], "labels": ["a", "b"]}',
+    "asym_inf.csv": "0,1\ninf,0\n",
+    "x0inf.csv": "inf,0\n",
 }
 FACTOR = ["factor", "--restarts", "1", "--max-iter", "2", "--input"]
 REGRESS = ["regress", "--matrix", "A.csv", "--rhs"]
@@ -838,6 +840,13 @@ REGRESS = ["regress", "--matrix", "A.csv", "--rhs"]
         ([*FACTOR, "bad.csv", "--rank", "7"], 3),
         ([*FACTOR, "missing.edges", "--rank", "1", "--cap", "0.5"], 3),
         ([*FACTOR, "neg.edges", "--rank", "7"], 4),
+        # a non-symmetric matrix with an inf entry: the minplus-sym check of symmetry is a data error (3),
+        # and each other method rejects the inf entry (4), as the Newton solver rejects an infinite x0
+        (["residual-curve", "--method", "minplus-sym", "--input", "asym_inf.csv"], 3),
+        (["residual-curve", "--method", "minplus-general", "--input", "asym_inf.csv"], 4),
+        (["residual-curve", "--method", "svd", "--input", "asym_inf.csv"], 4),
+        (["residual-curve", "--method", "nnmf", "--input", "asym_inf.csv"], 4),
+        ([*REGRESS, "y.csv", "--norm", "2", "--x0", "x0inf.csv"], 4),
     ],
 )
 def test_exit_code_by_flag_class(tmp_path, monkeypatch, argv, code):

@@ -1,6 +1,7 @@
 """Properties of the min-plus kernels on generated input: every product,
 selector, closure, waypoint search and blocked symmetric factorization
-equals an independent oracle bit for bit; closures, waypoint products,
+equals an independent oracle bit for bit, and the batched Newton engine
+its one-problem path; closures, waypoint products,
 Chebyshev solutions and rank curves keep the paper's invariants; the
 matrix CSV reader inverts its writer."""
 
@@ -17,12 +18,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from minplus import (
-    INF, NegativeCycleError, SymFactorConfig, TropicalMatrix, actual_waypoint, actual_waypoint_search,
-    chebyshev_regression, is_idempotent, kleene_star, mp_multiply, principal_solution, read_matrix_csv,
-    sym_factorize, write_matrix_csv,
+    INF, NegativeCycleError, RegressionConfig, SymFactorConfig, TropicalMatrix, actual_waypoint,
+    actual_waypoint_search, chebyshev_regression, is_idempotent, kleene_star, mp_multiply,
+    newton_directed_line_search, principal_solution, read_matrix_csv, sym_factorize, write_matrix_csv,
 )
 import minplus.core as core
 import minplus.factorization as factorization
+import minplus.regression as regression
 from minplus.cli import main
 from minplus.core import _factors, _mp, _outer_sum
 from minplus.factorization import TILE_ROWS, _sym_product
@@ -375,6 +377,42 @@ def test_blocked_sym_factorize_equals_one_start_at_a_time(run):
     assert pair.left.data.tobytes() == f.tobytes()
     assert pair.iteration_trace == trace
     assert pair.restarts_used == runs
+
+
+@st.composite
+def newton_batches(draw):
+    """A stack of 1 or 2 designs of one shape n x d (n <= 8, d <= 6), integer (many ties) or
+    real, with +inf entries but one finite entry kept in each row; p <= 40 right-hand sides and
+    starts split among the designs; a config under which problems stop at different steps; and a
+    block budget small enough to split most batches."""
+    g, n, d, p = draw(st.integers(1, 2)), draw(st.integers(1, 8)), draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    first = draw(st.integers(0, p)) if g == 2 else p
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a, Y, X0 = (rng.integers(-4, 5, size=shape).astype(float) for shape in ((g, n, d), (p, n), (p, d)))
+    else:
+        a, Y, X0 = (rng.normal(size=shape) * 2 for shape in ((g, n, d), (p, n), (p, d)))
+    keep = rng.integers(0, d, size=(g, n))
+    a[(rng.random(a.shape) < draw(st.sampled_from([0.0, 0.25, 0.6]))) & (np.arange(d) != keep[..., None])] = INF
+    cfg = RegressionConfig(max_iter=draw(st.sampled_from([1, 2, 50])), tol=draw(st.sampled_from([1e-10, 1e-3])))
+    return a, (Y[:first], Y[first:])[:g], X0, cfg, draw(st.integers(1, 4 * n * d))
+
+
+@given(newton_batches())
+def test_newton_batch_equals_one_problem_at_a_time(batch):
+    a, Ys, X0, cfg, budget = batch
+    design = np.repeat(np.arange(len(Ys)), [len(y) for y in Ys])
+    with mock.patch.object(regression, "BATCH_ELEMENTS", budget):  # hypothesis reruns the body, not fixtures
+        X, converged, traces = regression._newton_batch(a, Ys, X0, cfg)
+        ones = [newton_directed_line_search(TropicalMatrix(a[j]), y, x0=x0, cfg=cfg)
+                for j, y, x0 in zip(design.tolist(), np.concatenate(Ys), X0)]
+    per_block = max(1, max(budget, *(y.size for y in Ys)) // a[0].size)
+    event("several blocks" if per_block < len(X0) else "one block")
+    event("stop rules differ" if len({(len(t), c) for t, c in zip(traces, converged.tolist())}) > 1 else "one stop")
+    for k, one in enumerate(ones):
+        assert X[k].tobytes() == one.solution.tobytes()
+        assert (len(traces[k]) - 1, bool(converged[k])) == (one.iterations, one.converged)
+        assert tuple(traces[k]) == one.residual_trace
 
 
 # -0.0, subnormals and magnitudes near the float range, and +inf
