@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_matrix, _data_of, _frobenius
-from .errors import INFEASIBLE_HINT, DomainError
+from .core import _as_matrix, _check_rank, _data_of, _finite, _frobenius
+from .errors import DomainError
 
 NNMF_EPS = 1e-12
 
@@ -41,10 +41,7 @@ class NnmfResult:
 
 def svd(M) -> SvdResult:
     """Full economy SVD through LAPACK (numpy.linalg.svd)."""
-    m_mat = _data_of(M)
-    if not np.isfinite(m_mat).all():
-        raise DomainError(f"svd expects finite entries; {INFEASIBLE_HINT}")
-    u, s, vt = np.linalg.svd(m_mat, full_matrices=False)
+    u, s, vt = np.linalg.svd(_finite(_data_of(M), "svd"), full_matrices=False)
     return SvdResult(singular_values=s, left_vectors=u, right_vectors=vt.T)
 
 
@@ -64,9 +61,7 @@ def svd_truncate(M, m: int) -> tuple[np.ndarray, float]:
     """Best Frobenius rank-m approximation and its relative residual: the
     dropped singular values' root sum of squares over ||M||_F, 0 for a zero M."""
     matrix = _as_matrix(M)
-    r = min(matrix.shape)
-    if not (1 <= m <= r):
-        raise ValueError(f"rank must lie in 1..{r}")
+    _check_rank(m, matrix.shape)
     result = svd(matrix)
     u, s, v = result.left_vectors, result.singular_values, result.right_vectors
     approx = (u[:, :m] * s[:m]) @ v[:, :m].T
@@ -80,14 +75,13 @@ def nnmf(M, m: int, iters: int = 2000, seed: int = 0) -> NnmfResult:
     entries at or above NNMF_EPS so zeros cannot absorb. The residual
     trace (initial value included) is non-increasing.
     """
-    m_mat = _data_of(M)
-    if not np.isfinite(m_mat).all():
-        raise DomainError(f"nnmf expects finite entries; {INFEASIBLE_HINT}")
+    m_mat = _finite(_data_of(M), "nnmf")
     if (m_mat < 0).any():
         raise DomainError("nnmf expects non-negative entries")
+    _check_rank(m, m_mat.shape)
+    if iters < 0:
+        raise ValueError("iters must be >= 0")
     n, d = m_mat.shape
-    if not (1 <= m <= min(n, d)):
-        raise ValueError(f"rank must lie in 1..{min(n, d)}")
     rng = np.random.default_rng(seed)
     w = np.maximum(rng.uniform(0.0, 1.0, size=(n, m)), NNMF_EPS)
     h = np.maximum(rng.uniform(0.0, 1.0, size=(m, d)), NNMF_EPS)

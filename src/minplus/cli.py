@@ -25,6 +25,7 @@ import numpy as np
 
 from .baselines import _dropped, _relative, nnmf, svd, svd_truncate
 from .core import (
+    CSV_FLOAT_FORMAT,
     INF,
     TropicalMatrix,
     kleene_star,
@@ -244,7 +245,7 @@ def _cmd_baseline(args, out_dir: Path):
         _write(out_dir / f"{stem}_h.csv", write_matrix_csv(result.H)),
         _write(
             out_dir / f"{stem}_trace.csv",
-            "".join(f"{v:.17g}\n" for v in result.residual_trace),
+            "".join(f"{v:{CSV_FLOAT_FORMAT}}\n" for v in result.residual_trace),
         ),
     ]
     return outputs, {"residual": final, "relative_residual": float(_relative(matrix.data, final))}
@@ -289,7 +290,7 @@ def _cmd_residual_curve(args, out_dir: Path):
     relative = _relative(matrix.data, residuals).tolist()
     if not np.isfinite(relative).all():
         raise DomainError("residual curve is not finite; use a smaller --cap")
-    body = "rank,relative_residual\n" + "".join(f"{m},{v:.17g}\n" for m, v in zip(ranks, relative))
+    body = "rank,relative_residual\n" + "".join(f"{m},{v:{CSV_FLOAT_FORMAT}}\n" for m, v in zip(ranks, relative))
     out_path = _write(out_dir / args.out, body)
     return [out_path], {"ranks": len(relative), "final_relative_residual": relative[-1] if relative else None}
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, NegativeCycleError, ParseError, ShapeError
+from .errors import INFEASIBLE_HINT, DomainError, NegativeCycleError, ParseError, ShapeError
 
 INF = float("inf")
 
@@ -96,6 +96,26 @@ def _data_of(m) -> np.ndarray:
     return _as_matrix(m).data
 
 
+def _square(a, what: str):
+    """a, an array or TropicalMatrix, once it is square: the one check of squareness."""
+    if a.shape[0] != a.shape[1]:
+        raise ShapeError(f"{what} needs a square matrix, got {a.shape}")
+    return a
+
+
+def _check_rank(m: int, shape: tuple[int, int]) -> None:
+    """The one check of a rank: a rank-m factorization of a matrix of this shape needs 1 <= m <= min(shape)."""
+    if not 1 <= m <= min(shape):
+        raise ValueError(f"rank must lie in 1..{min(shape)}")
+
+
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    """a, once every entry is finite: the one check of finiteness, naming the CLI's --cap."""
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} needs finite entries; {INFEASIBLE_HINT}")
+    return a
+
+
 def _factors(cols: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """[c, 1] (..., h, 2) and [1; r] (..., 2, w), the factors of _outer_sum for c (..., h), r (..., w)."""
     left, right = np.ones(cols.shape + (2,)), np.ones(rows.shape[:-1] + (2, rows.shape[-1]))
@@ -161,9 +181,7 @@ def mp_multiply(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
 
 def mp_power(A: TropicalMatrix, k: int) -> TropicalMatrix:
     """k-fold min-plus product of a square matrix with itself; k=0 gives I."""
-    a = _data_of(A)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"power needs a square matrix, got {a.shape}")
+    a = _square(_data_of(A), "power")
     if k < 0:
         raise DomainError("negative powers are not defined")
     out = np.full(a.shape, INF)
@@ -197,10 +215,8 @@ def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
     each tile updates only its columns from its own top row rightwards, and
     the lower triangle is mirrored at the end.
     """
-    a = _data_of(A)
+    a = _square(_data_of(A), "closure")
     n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"closure needs a square matrix, got {a.shape}")
     d = a.copy()
     np.fill_diagonal(d, np.minimum(a.diagonal(), 0.0))  # D = A min I
     symmetric = np.array_equal(d, d.T)
@@ -249,9 +265,7 @@ def is_idempotent(A: TropicalMatrix) -> bool:
     """True iff A (x) A equals A entrywise within IDEMPOTENT_TOL (inf matches only inf). The product is
     folded and compared TILE_ROWS rows at a time, stopping at the first tile that differs. A TropicalMatrix
     keeps the verdict, so its product runs at most once, and never for a closure, marked by kleene_star."""
-    A = _as_matrix(A)
-    if A.rows != A.cols:
-        raise ShapeError(f"idempotency needs a square matrix, got {A.shape}")
+    A = _square(_as_matrix(A), "idempotency")
     if A._idempotent is None:
         a = A.data
         A._idempotent = all(_entries_close(_mp(a[top:top + TILE_ROWS], a), a[top:top + TILE_ROWS])
@@ -274,9 +288,7 @@ def frobenius_distance(A: TropicalMatrix, B: TropicalMatrix) -> float:
     a, b = _data_of(A), _data_of(B)
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if np.isinf(a).any() or np.isinf(b).any():
-        raise DomainError("Frobenius distance is only defined for finite matrices")
-    return float(_frobenius(a - b))
+    return float(_frobenius(_finite(a, "Frobenius distance") - _finite(b, "Frobenius distance")))
 
 
 def read_matrix_csv(text: str) -> TropicalMatrix:

@@ -1,4 +1,4 @@
-"""Exception types, and the --cap hint, shared across the package.
+"""Exception types shared across the package, and the --cap hint of core's finiteness check.
 
 The CLI maps these onto exit codes: parse and shape problems are data
 errors (exit 3), domain violations are numerical errors (exit 4).

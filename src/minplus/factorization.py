@@ -29,8 +29,8 @@ from functools import partial, reduce
 import numpy as np
 
 from .core import TILE_ROWS, TropicalMatrix, _as_matrix, _data_of, _factors, _fold, _mirror, _mp, _outer_sum
-from .core import _frobenius, frobenius_distance, is_idempotent
-from .errors import INFEASIBLE_HINT, DomainError, ShapeError
+from .core import _check_rank, _finite, _frobenius, _square, frobenius_distance, is_idempotent
+from .errors import DomainError, ShapeError
 from .regression import BATCH_ELEMENTS, RegressionConfig, _chebyshev_shift, _newton_batch
 
 SYM_TOL = 0.0  # symmetric driver: early-exit residual target
@@ -110,14 +110,11 @@ class NonsymFactorConfig:
 
 def _check_symmetric_distance(D: TropicalMatrix) -> np.ndarray:
     """D's array, once square, symmetric and finite; warns unless D (x) D = D."""
-    D = _as_matrix(D)
+    D = _square(_as_matrix(D), "symmetric factorization")
     d = D.data
-    if d.shape[0] != d.shape[1]:
-        raise ShapeError(f"expected a square matrix, got {d.shape}")
     if not np.array_equal(d, d.T):
         raise ShapeError("matrix is not symmetric")
-    if not np.isfinite(d).all():
-        raise DomainError(f"matrix has non-finite entries; {INFEASIBLE_HINT}")
+    _finite(d, "symmetric factorization")
     if not is_idempotent(D):
         warnings.warn("input is not idempotent; waypoint factorizations are meant for "
                       "shortest-path distance matrices", UserWarning, stacklevel=3)
@@ -218,8 +215,7 @@ def actual_waypoint_search(
     """
     d = _check_symmetric_distance(D)
     n = d.shape[0]
-    if not (1 <= m <= n):
-        raise ValueError(f"rank must lie in 1..{n}")
+    _check_rank(m, d.shape)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if math.comb(n, m) <= budget:
@@ -324,10 +320,8 @@ def jacobi_map(D: TropicalMatrix, F: TropicalMatrix, Fp: TropicalMatrix) -> Trop
     frozen quadratic q_F (its constrained coordinates; untouched ones are
     copied through).
     """
-    d = _data_of(D)
-    f, fp = _data_of(F), _data_of(Fp)
-    if d.shape[0] != d.shape[1]:
-        raise ShapeError(f"expected a square matrix, got {d.shape}")
+    d, f, fp = _data_of(D), _data_of(F), _data_of(Fp)
+    _square(d, "jacobi_map")
     if f.shape != fp.shape or f.shape[0] != d.shape[0]:
         raise ShapeError(f"factor shapes disagree: D {d.shape}, F {f.shape}, Fp {fp.shape}")
     if not f.shape[1]:
@@ -433,8 +427,7 @@ def sym_factorize(
     """
     d = _check_symmetric_distance(D)
     n = d.shape[0]
-    if cfg.rank > n:
-        raise ValueError(f"rank {cfg.rank} exceeds matrix size {n}")
+    _check_rank(cfg.rank, d.shape)
     extras = [_checked_init(f0, (n, cfg.rank)) for f0 in extra_inits]
     restarts = (
         d[:, np.random.default_rng([cfg.seed, r]).choice(n, size=cfg.rank, replace=False)]
@@ -446,8 +439,7 @@ def sym_factorize(
 def residual_of_given_factor(D: TropicalMatrix, F: TropicalMatrix) -> float:
     """||D - F (x) F^T||_F for a user-supplied factor."""
     D, f = _as_matrix(D), _data_of(F)
-    if D.rows != D.cols:
-        raise ShapeError(f"expected a square matrix, got {D.shape}")
+    _square(D, "residual_of_given_factor")
     if f.shape[0] != D.rows:
         raise ShapeError(f"factor has {f.shape[0]} rows, matrix has {D.rows}")
     return frobenius_distance(D, TropicalMatrix._wrap(_mp(f, f.T)))
@@ -565,12 +557,9 @@ def nonsym_factorize(
     residual never exceeds any start's; ties keep the earliest start.
     """
     cfg = cfg or NonsymFactorConfig()
-    m_mat = _data_of(M)
-    if not np.isfinite(m_mat).all():
-        raise DomainError(f"matrix has non-finite entries; {INFEASIBLE_HINT}")
+    m_mat = _finite(_data_of(M), "general factorization")
     n, d_cols = m_mat.shape
-    if not (1 <= m <= min(n, d_cols)):
-        raise ValueError(f"rank must lie in 1..{min(n, d_cols)}")
+    _check_rank(m, m_mat.shape)
     extras = list(extra_inits)
     if any(len(init) != 2 for init in extras):
         raise ShapeError("each extra init must be an (A0, B0) pair")

@@ -29,6 +29,10 @@ class RegressionConfig:
     max_iter: int = 500
     tol: float = 1e-10  # relative residual decrease per step
 
+    def __post_init__(self) -> None:
+        if self.max_iter < 0 or not np.isfinite(self.tol):
+            raise ValueError("max_iter must be >= 0 and tol finite")
+
 
 @dataclass
 class RegressionOutcome:

@@ -169,6 +169,9 @@ def test_nnmf_input_validation():
         nnmf(np.abs(np.ones((2, 2))), 3)
     with pytest.raises(ValueError):
         nnmf(np.abs(np.ones((2, 2))), 0)
+    with pytest.raises(ValueError, match="iters must be >= 0"):
+        nnmf(np.ones((2, 2)), 1, iters=-1)
+    assert len(nnmf(np.ones((2, 2)), 1, iters=0).residual_trace) == 1  # the initial residual alone
 
 
 @pytest.mark.parametrize("name", sorted(BASELINES))

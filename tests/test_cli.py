@@ -800,6 +800,7 @@ EXIT_INPUTS = {
     "factors.json": '{"left": [[1, 2]], "labels": ["a", "b"]}',
     "asym_inf.csv": "0,1\ninf,0\n",
     "x0inf.csv": "inf,0\n",
+    "empty.csv": "",
 }
 FACTOR = ["factor", "--restarts", "1", "--max-iter", "2", "--input"]
 REGRESS = ["regress", "--matrix", "A.csv", "--rhs"]
@@ -847,6 +848,15 @@ REGRESS = ["regress", "--matrix", "A.csv", "--rhs"]
         (["residual-curve", "--method", "svd", "--input", "asym_inf.csv"], 4),
         (["residual-curve", "--method", "nnmf", "--input", "asym_inf.csv"], 4),
         ([*REGRESS, "y.csv", "--norm", "2", "--x0", "x0inf.csv"], 4),
+        # every count flag must be at least 1: argparse rejects 0 (2); an empty rhs file has no entry (3)
+        ([*FACTOR, "six.edges", "--rank", "1", "--t", "0"], 2),
+        ([*FACTOR, "six.edges", "--rank", "1", "--restarts", "0"], 2),
+        ([*FACTOR, "six.edges", "--rank", "1", "--max-iter", "0"], 2),
+        ([*REGRESS, "y.csv", "--norm", "2", "--max-iter", "0"], 2),
+        ([*FACTOR, "six.edges", "--rank", "1", "--mode", "actual", "--budget", "0"], 2),
+        (["baseline", "--method", "nnmf", "--rank", "1", "--input", "six.edges", "--iters", "0"], 2),
+        (["residual-curve", "--method", "svd", "--input", "six.edges", "--max-rank", "0"], 2),
+        ([*REGRESS, "empty.csv"], 3),
     ],
 )
 def test_exit_code_by_flag_class(tmp_path, monkeypatch, argv, code):

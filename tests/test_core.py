@@ -11,17 +11,28 @@ from minplus import (
     DomainError,
     NegativeCycleError,
     ShapeError,
+    SymFactorConfig,
     TropicalMatrix,
+    actual_waypoint,
+    actual_waypoint_search,
     frobenius_distance,
     is_idempotent,
+    jacobi_map,
     kleene_star,
     load_edge_list,
     mp_multiply,
     mp_power,
+    nnmf,
+    nonsym_factorize,
     read_matrix_csv,
+    residual_of_given_factor,
     shortest_path_matrix,
+    svd,
+    svd_truncate,
+    sym_factorize,
     write_matrix_csv,
 )
+from minplus.errors import INFEASIBLE_HINT
 
 import minplus.core as core
 
@@ -167,6 +178,11 @@ def test_transpose_antihomomorphism():
 def test_power_zero_is_identity():
     a = TropicalMatrix([[3.0, 1.0], [0.0, 2.0]])
     assert np.array_equal(mp_power(a, 0).data, identity(2).data)
+
+
+def test_power_rejects_a_negative_exponent():
+    with pytest.raises(DomainError, match="negative powers"):
+        mp_power(TropicalMatrix([[0.0]]), -1)
 
 
 def test_power_matches_repeated_product(example_a):
@@ -374,6 +390,73 @@ def test_frobenius_distance_hand_value():
 def test_frobenius_distance_rejects_infinity():
     with pytest.raises(DomainError):
         frobenius_distance(TropicalMatrix([[INF]]), TropicalMatrix([[0.0]]))
+
+
+def test_frobenius_distance_rejects_a_shape_mismatch():
+    with pytest.raises(ShapeError, match=r"shape mismatch: \(1, 2\) vs \(2, 1\)"):
+        frobenius_distance(TropicalMatrix([[0.0, 1.0]]), TropicalMatrix([[0.0], [1.0]]))
+
+
+# Each input rule has one owner in core (_square, _check_rank, _finite); every public entry that applies
+# one raises its one exception with its one message, named by the routine or the kind of factorization.
+WIDE = np.zeros((2, 3))
+PATH = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])  # a path graph's closure
+SPLIT = np.array([[0.0, INF], [INF, 0.0]])  # symmetric, with inf entries
+ONE = np.zeros((2, 1))
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: mp_power(WIDE, 2), "power"),
+    (lambda: kleene_star(WIDE), "closure"),
+    (lambda: is_idempotent(WIDE), "idempotency"),
+    (lambda: actual_waypoint(WIDE, [0]), "symmetric factorization"),
+    (lambda: actual_waypoint_search(WIDE, 1), "symmetric factorization"),
+    (lambda: sym_factorize(WIDE, SymFactorConfig(rank=1)), "symmetric factorization"),
+    (lambda: jacobi_map(WIDE, ONE, ONE), "jacobi_map"),
+    (lambda: residual_of_given_factor(WIDE, ONE), "residual_of_given_factor"),
+])
+def test_square_rule_at_every_entry(call, what):
+    with pytest.raises(ShapeError) as err:
+        call()
+    assert str(err.value) == f"{what} needs a square matrix, got (2, 3)"
+
+
+def sym_factorize_at_rank(m):
+    cfg = SymFactorConfig(rank=1, restarts=1)
+    cfg.rank = m  # past the config's own rank >= 1 check, to reach sym_factorize's
+    return sym_factorize(PATH, cfg)
+
+
+@pytest.mark.parametrize("call, top", [
+    (lambda m: actual_waypoint_search(PATH, m), 3),
+    (sym_factorize_at_rank, 3),
+    (lambda m: nonsym_factorize(WIDE, m), 2),
+    (lambda m: svd_truncate(WIDE, m), 2),
+    (lambda m: nnmf(WIDE, m), 2),
+])
+def test_rank_rule_at_every_entry(call, top):
+    for m in (0, top + 1):
+        with pytest.raises(ValueError) as err:
+            call(m)
+        assert str(err.value) == f"rank must lie in 1..{top}"
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: actual_waypoint(SPLIT, [0]), "symmetric factorization"),
+    (lambda: actual_waypoint_search(SPLIT, 1), "symmetric factorization"),
+    (lambda: sym_factorize(SPLIT, SymFactorConfig(rank=1)), "symmetric factorization"),
+    (lambda: nonsym_factorize(SPLIT, 1), "general factorization"),
+    (lambda: svd(SPLIT), "svd"),
+    (lambda: svd_truncate(SPLIT, 1), "svd"),
+    (lambda: nnmf(SPLIT, 1), "nnmf"),
+    (lambda: frobenius_distance(SPLIT, np.zeros((2, 2))), "Frobenius distance"),
+    (lambda: frobenius_distance(np.zeros((2, 2)), SPLIT), "Frobenius distance"),
+    (lambda: residual_of_given_factor(SPLIT, ONE), "Frobenius distance"),
+])
+def test_finite_rule_at_every_entry(call, what):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == f"{what} needs finite entries; {INFEASIBLE_HINT}"
 
 
 def test_csv_round_trip_exact():

@@ -41,6 +41,7 @@ from minplus.factorization import (
     _jacobi_apply,
     _jacobi_setup,
     _jacobi_tables,
+    _kmeans_columns,
     _kmeans_start,
     _row_bounds,
     _sym_product,
@@ -708,6 +709,8 @@ def test_sym_factorize_input_validation(example_d):
         SymFactorConfig(rank=1, shoot=0.0)
     with pytest.raises(ValueError):
         SymFactorConfig(rank=1, shoot=1.5)
+    with pytest.raises(ValueError, match="jacobi_steps must be >= 1"):
+        SymFactorConfig(rank=1, jacobi_steps=0)
 
 
 @pytest.mark.parametrize("counts", [{"restarts": 0}, {"max_iter": 0}, {"max_iter": -1}])
@@ -811,6 +814,24 @@ def test_kmeans_start_matches_broadcast_reference():
         ref_a, ref_b = ref_kmeans_start(data, m, np.random.default_rng([trial]))
         assert a.tobytes() == ref_a.tobytes()
         assert b.tobytes() == ref_b.tobytes()
+
+
+@pytest.mark.parametrize("data, m, restarts, seed", [
+    (np.tile([[0.0], [1.0], [2.0]], (1, 4)), 2, 2, 0),  # one distinct column
+    (np.array([[0.0, 0.0, 5.0, 5.0], [1.0, 1.0, 6.0, 6.0], [2.0, 2.0, 7.0, 7.0]]), 3, 3, 1),  # two
+])
+def test_kmeans_start_with_fewer_distinct_columns_than_centers(data, m, restarts, seed):
+    # every seeding distance is 0 once the distinct columns are taken, so seeding draws uniformly,
+    # and some center is left with no member, so it is reseeded at the farthest column
+    cfg = NonsymFactorConfig(max_iter=3, restarts=restarts, seed=seed)
+    for r in range(restarts):
+        centers = _kmeans_columns(data, m, np.random.default_rng([seed, r]))
+        assert all((data == center[:, None]).all(axis=0).any() for center in centers.T)
+    pair, again = nonsym_factorize(data, m, cfg), nonsym_factorize(data, m, cfg)
+    assert pair.residual == 0.0
+    for a, b in ((pair.left, again.left), (pair.right, again.right)):
+        assert a.data.tobytes() == b.data.tobytes()
+    assert pair.iteration_trace == again.iteration_trace
 
 
 def test_nonsym_factorize_memory_is_quadratic(closure300, monkeypatch):

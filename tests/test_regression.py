@@ -132,6 +132,11 @@ def test_principal_solution_all_inf_column():
         principal_solution(a, np.array([0.0, 0.0]))
 
 
+def test_principal_solution_needs_a_row():
+    with pytest.raises(DomainError, match="at least one row"):
+        principal_solution(TropicalMatrix(np.empty((0, 2))), np.empty(0))
+
+
 def test_principal_solution_is_least_feasible():
     rng = np.random.default_rng(20)
     for _ in range(30):
@@ -405,6 +410,21 @@ def test_line_search_iteration_cap_reports_unconverged():
     if full.iterations > 1:
         assert not out.converged
     assert out.iterations == 1
+
+
+@pytest.mark.parametrize("fields", [{"max_iter": -1}, {"tol": np.nan}, {"tol": np.inf}, {"tol": -np.inf}])
+def test_regression_config_rejects_a_negative_cap_or_infinite_tol(fields):
+    with pytest.raises(ValueError, match="max_iter must be >= 0 and tol finite"):
+        RegressionConfig(**fields)
+
+
+def test_line_search_at_iteration_cap_zero_reports_its_start():
+    a, y = np.array([[0.0, 3.0], [2.0, 0.0]]), np.array([1.0, 0.0])
+    out = newton_directed_line_search(TropicalMatrix(a), y, cfg=RegressionConfig(max_iter=0))
+    start = chebyshev_regression(TropicalMatrix(a), y).solution
+    assert out.iterations == 0 and not out.converged
+    assert np.array_equal(out.solution, start)
+    assert out.residual_trace == (np.sqrt(residual_sq(a, y, start)),)
 
 
 def test_line_search_rejects_bad_inputs():
